@@ -877,15 +877,21 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# 1eN is expanded exactly into an N-digit integer; larger N is refused
+_MAX_EXPONENT = 10_000
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
-        if "e" in text.lower() or "E" in text:
-            value = float(text)
-            if value != int(value):
+        if "e" in text.lower():
+            if abs(int(text.lower().rpartition("e")[2])) > _MAX_EXPONENT:
+                raise UsageError(f"{what}: exponent of {text!r} is too large")
+            value = Fraction(text)
+            if value.denominator != 1:
                 raise ValueError
             return int(value)
         return int(text, 10)
-    except (ValueError, OverflowError):
+    except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 

@@ -855,14 +855,18 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
                 iv = refine_root(sf, iv, iv.width() / 4)
             if stripped:
                 break  # work changed; re-isolate what is left
-        assert stripped
+        if not stripped:
+            raise AssertionError("isolation pass stripped no root")
 
     report_roots = tuple(sorted(roots))
     # verification pass: every reported root really is a root, count matches
-    assert len(report_roots) == n
+    if len(report_roots) != n:
+        raise AssertionError(
+            f"found {len(report_roots)} roots of a degree-{n} polynomial"
+        )
     for r in report_roots:
-        assert p(r) == 0
-        assert r.denominator in allowed
+        if p(r) != 0 or r.denominator not in allowed:
+            raise AssertionError(f"reported root {r} fails verification")
     return RootReport(True, report_roots, None)
 
 

@@ -76,26 +76,54 @@ class DivisorCandidateSet:
     divisor_count: int
 
 
-def _even_deg_products(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = (dim - 2) // 2
-    w = (k - 1) // 2
-    thetas = (w + 1, w + 2)
-    products = tuple(
-        math.prod(-2 * theta + 2 * i - 1 for i in range(1, k // 2 + 1))
-        for theta in thetas
-    )
-    return thetas, products
+def _offset_products(dim: int, odd_deg: bool) -> list[tuple[int, int]]:
+    """(theta, P_theta) for every denominator factor n + theta of the top
+    coefficient u_n, in the layout of stiffness._closed_top_parts (even
+    dim >= 4).
+
+    Why n + theta must (nearly) divide P_theta: u_n = 2^a prod(nums) /
+    prod(dens) with n + theta one of the factors of prod(dens).  For even
+    degrees nums are 2n + 2i - 1 (i = 1..k//2) and theta runs over
+    w+1..w+k//2; since 2n = 2(n + theta) - 2 theta, every numerator is
+    congruent to 2i - 1 - 2 theta modulo n + theta, so prod(nums) is
+    congruent to P_theta = prod(2i - 1 - 2 theta).  Integrality of u_n
+    makes the odd part of n + theta divide prod(nums), hence P_theta.  Odd
+    degrees have nums 2n + 2s + 1 (s = 1..kp//2 - 1), theta = w'+1..kp-1,
+    P_theta = prod(2s + 1 - 2 theta), and may keep powers of 3 in the
+    denominator, so only the part of n + theta coprime to 6 must divide
+    P_theta.  When that fails for any theta, u_n has a denominator prime
+    >= 5: the coefficient screens reject the degree.  P_theta is odd and
+    signed; only divisibility matters.
+    """
+    if odd_deg:
+        kp = dim // 2
+        w = (kp - 1) // 2
+        thetas = range(w + 1, kp)
+        odds = [2 * s + 1 for s in range(1, kp // 2)]
+    else:
+        k = (dim - 2) // 2
+        w = (k - 1) // 2
+        thetas = range(w + 1, w + k // 2 + 1)
+        odds = [2 * i - 1 for i in range(1, k // 2 + 1)]
+    return [
+        (theta, math.prod(c - 2 * theta for c in odds)) for theta in thetas
+    ]
 
 
-def _odd_deg_products(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    kp = dim // 2
-    wp = (kp - 1) // 2
-    thetas = tuple(wp + j for j in range(1, 5))
-    products = tuple(
-        math.prod(-2 * theta + 2 * s + 1 for s in range(1, kp // 2))
-        for theta in thetas
-    )
-    return thetas, products
+def _offset_cascade_rejects(
+    n: int, offsets: list[tuple[int, int]], odd_deg: bool
+) -> bool:
+    """Whether some offset's necessity fails for n (see _offset_products):
+    a rejection certifies that u_n has a forbidden denominator prime."""
+    for theta, prod in offsets:
+        core = n + theta
+        core //= core & -core
+        if odd_deg:
+            while core % 3 == 0:
+                core //= 3
+        if prod % core:
+            return True
+    return False
 
 
 def divisor_candidates(
@@ -106,16 +134,11 @@ def divisor_candidates(
     divisor-product argument, or when enumerating the divisors would
     exceed divisor_budget (callers must then treat the branch as open).
     """
-    if dim % 2:
+    if dim % 2 or dim < (16 if odd_deg else 10):
         return None
-    if odd_deg:
-        if dim < 16:
-            return None
-        thetas, products = _odd_deg_products(dim)
-    else:
-        if dim < 10:
-            return None
-        thetas, products = _even_deg_products(dim)
+    # the first two (even degrees) or four (odd degrees) offsets enumerate
+    offsets = _offset_products(dim, odd_deg)[: 4 if odd_deg else 2]
+    thetas, products = zip(*offsets)
 
     factored = []
     total = 0
@@ -202,13 +225,24 @@ def _verdict_status(verdict: StiffVerdict) -> str:
 
 
 def _decide_candidates(
-    dim: int, odd_deg: bool, ns: tuple[int, ...]
+    dim: int, odd_deg: bool, ns: tuple[int, ...], cascade_below: int = 0
 ) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
+    """Decide each degree parameter in ns with stiff_exists.
+
+    Each n < cascade_below first meets the offset cascade (even dim only);
+    a rejection is the coefficient-screen verdict stiff_exists would give,
+    since below the threshold no bound applies and both coefficient
+    screens catch a forbidden denominator prime of u_n.
+    """
     rows = []
     existing = []
     unresolved = []
+    offsets = _offset_products(dim, odd_deg) if cascade_below else []
     for n in ns:
         m = 2 * n + 1 if odd_deg else 2 * n
+        if n < cascade_below and _offset_cascade_rejects(n, offsets, odd_deg):
+            rows.append(CandidateOutcome(n, m, "coefficient-screen"))
+            continue
         try:
             verdict = stiff_exists(m, dim)
         except UndecidedError:
@@ -229,7 +263,7 @@ def _classify_branch(
     cand_set = divisor_candidates(dim, odd_deg, divisor_budget)
     if cand_set is not None:
         rows, existing, unresolved = _decide_candidates(
-            dim, odd_deg, cand_set.candidates
+            dim, odd_deg, cand_set.candidates, cascade_below=bound.threshold
         )
         return BranchOutcome(
             dim,
@@ -302,7 +336,10 @@ def classify_dimension(
         )
         return DimClassification(2, True, (), True, (branch,))
     for m in (1, 2, 3):
-        assert stiff_exists(m, dim).exists
+        if not stiff_exists(m, dim).exists:
+            raise AssertionError(
+                f"degree {m} must exist in every dimension, not in {dim}"
+            )
     even = _classify_branch(dim, False, divisor_budget)
     odd = _classify_branch(dim, True, divisor_budget)
     degrees = [1, 2, 3] + sorted(even.existing + odd.existing)
@@ -504,7 +541,7 @@ def _scan_branch(
     hi: int,
     checks: list[str],
     label: str,
-) -> tuple[bool, set[int]]:
+) -> set[int]:
     existing = set()
     for n in range(lo, hi):
         m = 2 * n + 1 if odd_deg else 2 * n
@@ -515,7 +552,7 @@ def _scan_branch(
         f"{label}: decided n in [{lo}, {hi}) without shortcuts, "
         f"existing degrees {sorted(existing) or 'none'}"
     )
-    return True, existing
+    return existing
 
 
 def _verify_branch_claim(
@@ -536,7 +573,7 @@ def _verify_branch_claim(
         truncated = below_cap is not None and below_cap < hi
         if truncated:
             hi = below_cap
-        _, existing = _scan_branch(
+        existing = _scan_branch(
             spec.dim, spec.odd_deg, 2, hi, checks, "below threshold"
         )
         expected = _expected_degrees(spec.dim, spec.odd_deg)
@@ -563,7 +600,7 @@ def _verify_branch_claim(
 def _scan_window(
     dim: int, odd_deg: bool, threshold: int, window: int, checks: list[str]
 ) -> bool:
-    _, existing = _scan_branch(
+    existing = _scan_branch(
         dim, odd_deg, threshold, threshold + window, checks,
         f"window above threshold (dim {dim})"
     )
@@ -586,7 +623,7 @@ def _verify_family_claim(
             continue
         expected = _expected_degrees(dim, spec.odd_deg)
         if tag == "odd-dim-valuation":
-            _, existing = _scan_branch(
+            existing = _scan_branch(
                 dim, spec.odd_deg, 2, bound.threshold, checks,
                 f"dim {dim} below threshold"
             )

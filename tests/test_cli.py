@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mstiff.cli import main
+from mstiff.cli import _parse_int, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -153,6 +153,27 @@ def test_tables_scientific_limit(capsys):
     )
     assert code == 0
     assert [r["d"] for r in json.loads(out)][-1] == 23049599
+
+
+def test_scientific_notation_is_exact(capsys):
+    assert _parse_int("1e30", "--limit") == 10**30
+    assert _parse_int("2.5e3", "--limit") == 2500
+    # through a float, this odd dimension would round to the even 1e30
+    code, out, _ = run(
+        capsys, "bounds", "--d", "1.000000000000000000000000000001e30",
+        "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["d"] == 10**30 + 1
+
+
+def test_scientific_notation_rejects_non_integers(capsys):
+    for text in ("1.5e0", "5e-1", "1e99999"):
+        code, out, err = run(
+            capsys, "tables", "--which", "m4", "--limit", text
+        )
+        assert code == 2, text
+        assert out == "" and "--limit" in err
 
 
 # ---------------------------------------------------------------------------

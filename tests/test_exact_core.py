@@ -6,6 +6,8 @@ implementation and are frozen.
 """
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -197,6 +199,26 @@ def test_rational_roots_quadratic_yes():
     rep = rational_roots(p)
     assert rep.all_rational
     assert rep.roots == (Fraction(2), Fraction(10))
+
+
+def test_rational_roots_verification_survives_optimize_flag():
+    # evaluation is patched to deny that the divisor-found roots 1 and -1
+    # of x^2 - 1 are roots; the verification pass must catch that even
+    # under python -O, where assert statements are stripped
+    script = (
+        "from fractions import Fraction\n"
+        "from mstiff.exact_core import RatPoly, rational_roots\n"
+        "RatPoly.__call__ = lambda self, x: Fraction(1)\n"
+        "try:\n"
+        "    rational_roots(RatPoly.from_coeffs([-1, 0, 1]))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: reported root -1 fails")
 
 
 def test_rational_roots_quadratic_no():

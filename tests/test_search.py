@@ -6,11 +6,19 @@ frozen only after cross-checking each degree against the recurrence
 streams and the direct decision procedure.
 """
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.search import (
+    _decide_candidates,
+    _offset_cascade_rejects,
+    _offset_products,
+    _verdict_status,
     classify_degree,
     classify_dimension,
     divisor_candidates,
@@ -19,8 +27,12 @@ from mstiff.search import (
     verify_theorem,
 )
 from mstiff.stiffness import (
+    UndecidedError,
+    _closed_top_parts,
     bound_if_exceeded,
     n_upper_bound,
+    screen_coefficients,
+    stiff_exists,
     top_coefficient_screen,
 )
 
@@ -77,6 +89,72 @@ def test_candidate_necessity_for_integral_top_coefficients():
             m = 2 * n + 1 if odd_deg else 2 * n
             if top_coefficient_screen(m, dim) is None:
                 assert n in cand, (dim, odd_deg, n)
+
+
+def test_offset_products_extend_the_enumerating_offsets():
+    for dim, odd_deg in ((10, False), (14, False), (26, True), (40, True)):
+        cand = divisor_candidates(dim, odd_deg)
+        offsets = _offset_products(dim, odd_deg)
+        head = offsets[: len(cand.thetas)]
+        assert tuple(t for t, _ in head) == cand.thetas
+        assert tuple(p for _, p in head) == cand.products
+    # one offset per denominator factor n + theta of u_n, with the numerator
+    # product congruent to P_theta modulo that factor
+    for dim in (4, 10, 12, 26, 40, 42):
+        for odd_deg in (False, True):
+            offsets = _offset_products(dim, odd_deg)
+            for n in (2, 3, 17, 1000):
+                _, nums, dens = _closed_top_parts(n, dim, odd_deg)
+                assert [theta for theta, _ in offsets] == [d - n for d in dens]
+                for theta, prod in offsets:
+                    assert (math.prod(nums) - prod) % (n + theta) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(5, 60).map(lambda h: 2 * h),
+    n=st.integers(2, 10**6),
+    odd_deg=st.booleans(),
+)
+def test_offset_cascade_rejection_implies_coefficient_screens(dim, n, odd_deg):
+    assume(_offset_cascade_rejects(n, _offset_products(dim, odd_deg), odd_deg))
+    m = 2 * n + 1 if odd_deg else 2 * n
+    assert screen_coefficients(m, dim).witness is not None
+    if n > 64:
+        top = top_coefficient_screen(m, dim)
+        assert top is not None and top.index == n
+
+
+def _rows_without_cascade(dim, odd_deg, ns):
+    rows = []
+    for n in ns:
+        m = 2 * n + 1 if odd_deg else 2 * n
+        try:
+            status = _verdict_status(stiff_exists(m, dim))
+        except UndecidedError:
+            status = "unresolved"
+        rows.append((n, m, status))
+    return rows
+
+
+def test_cascade_rows_match_stiff_exists_on_every_raw_candidate():
+    for dim in range(10, 61, 2):
+        for b in classify_dimension(dim).branches:
+            rows = [(r.n, r.m, r.status) for r in b.candidates]
+            twin = _rows_without_cascade(dim, b.odd_deg, b.raw_candidates)
+            assert rows == twin, (dim, b.odd_deg)
+
+
+def test_cascade_leaves_degrees_past_the_threshold_to_the_bound():
+    # no raw candidate reaches the threshold in these dimensions, so cover
+    # the n >= threshold side with a plain range
+    for dim in (10, 12, 14):
+        threshold = n_upper_bound(dim, False).threshold
+        ns = tuple(range(2, threshold + 30))
+        rows, _, _ = _decide_candidates(dim, False, ns, threshold)
+        twin = _rows_without_cascade(dim, False, ns)
+        assert [(r.n, r.m, r.status) for r in rows] == twin
+        assert twin[-1][2] == "bound"
 
 
 # --- threshold comparison shortcut ---------------------------------------
@@ -137,6 +215,25 @@ def test_classify_dimension_4():
     even, odd = c.branches
     assert [r.status for r in even.candidates] == ["root-certification"] * 4
     assert [(r.n, r.m, r.status) for r in odd.candidates] == [(2, 5, "exists")]
+
+
+def test_classify_dimension_low_degree_check_survives_optimize_flag():
+    # the degree 1..3 sanity check must raise even under python -O, where
+    # assert statements are stripped
+    script = (
+        "from mstiff import search\n"
+        "not_exists = search.stiff_exists(6, 5)\n"
+        "search.stiff_exists = lambda m, dim: not_exists\n"
+        "try:\n"
+        "    search.classify_dimension(10)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: degree 1 must exist")
 
 
 def test_classify_dimension_6_8():
