@@ -139,7 +139,8 @@ def pell_representatives(d: int, m: int) -> list[PellSolution]:
         raise ValueError("m must be nonzero")
     u1 = fundamental_unit(d)
     unit = u1 if u1.norm == 1 else u1 * u1
-    assert unit.norm == 1
+    if unit.norm != 1:
+        raise AssertionError(f"unit {unit} of Q(sqrt({d})) has norm {unit.norm}")
     # every class contains a member inside a box whose y is bounded by
     # roughly sqrt(|m| * unit / d); overshooting is harmless because all
     # finds are reduced to canonical form and deduplicated

@@ -1,6 +1,6 @@
 """Exact arithmetic foundations.
 
-Factored integers, dense univariate polynomials over the rationals,
+Integer factorization, dense univariate polynomials over the rationals,
 Sturm-based real root isolation with interval refinement, rational root
 certification, and Newton polygons.  No floating point anywhere; every
 function is pure, so the module is safe to use from worker processes.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Rational = Fraction
 
@@ -22,8 +22,6 @@ __all__ = [
     "perfect_square_root",
     "fraction_square_root",
     "divisors_from_factors",
-    "FactoredInteger",
-    "FactoredRational",
     "RatPoly",
     "RootInterval",
     "RootWitness",
@@ -44,14 +42,21 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIME_LIMIT = 1 << 16
-_small_prime_sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
-_small_prime_sieve[0:2] = b"\x00\x00"
-for _i in range(2, int(_SMALL_PRIME_LIMIT**0.5) + 1):
-    if _small_prime_sieve[_i]:
-        _small_prime_sieve[_i * _i :: _i] = bytearray(
-            len(_small_prime_sieve[_i * _i :: _i])
-        )
-SMALL_PRIMES = tuple(i for i in range(_SMALL_PRIME_LIMIT) if _small_prime_sieve[i])
+# _least_factor[k] is the least prime factor of a composite k < 2^16, and 0
+# for primes (and 0, 1).  Such a factor is at most isqrt(2^16 - 1) = 255, so
+# a byte holds it; descending order leaves the least prime in each slot.
+_least_factor = bytearray(_SMALL_PRIME_LIMIT)
+_FACTOR_BOUND = math.isqrt(_SMALL_PRIME_LIMIT - 1)
+for _p in reversed([
+    q for q in range(2, _FACTOR_BOUND + 1)
+    if all(q % s for s in range(2, math.isqrt(q) + 1))
+]):
+    _least_factor[_p * _p :: _p] = bytes([_p]) * (
+        (_SMALL_PRIME_LIMIT - 1 - _p * _p) // _p + 1
+    )
+SMALL_PRIMES = tuple(
+    i for i in range(2, _SMALL_PRIME_LIMIT) if not _least_factor[i]
+)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -112,11 +117,24 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as an exponent map.  factorize(1) == {}."""
+    """Prime factorization of |n| as an exponent map.  factorize(1) == {}.
+
+    |n| < 2^16 is read off the least-prime-factor table, which is proven
+    (a sieve, no primality test).  Larger |n| go through trial division by
+    the small primes, Miller-Rabin and Pollard rho, so their factors are
+    only as certain as `is_probable_prime` (deterministic below 3.3e24).
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
+    if n < _SMALL_PRIME_LIMIT:
+        least = _least_factor
+        while n > 1:
+            p = least[n] or n
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        return out
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -208,136 +226,6 @@ def divisors_from_factors(factors: dict[int, int]) -> list[int]:
             block.extend(d * pk for d in divs)
         divs.extend(block)
     return sorted(divs)
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A nonzero integer carried as sign * product(p^e).
-
-    The factor map is never re-derived from the expanded value; products of
-    known factorizations stay factored.
-    """
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]  # sorted (prime, exponent>0) pairs
-
-    @staticmethod
-    def from_int(n: int) -> "FactoredInteger":
-        if n == 0:
-            raise ValueError("FactoredInteger is nonzero by contract")
-        return FactoredInteger(
-            1 if n > 0 else -1, tuple(sorted(factorize(n).items()))
-        )
-
-    @staticmethod
-    def from_product(parts: Iterable[int]) -> "FactoredInteger":
-        acc: dict[int, int] = {}
-        sign = 1
-        for n in parts:
-            if n == 0:
-                raise ValueError("zero factor")
-            if n < 0:
-                sign = -sign
-            for p, e in factorize(n).items():
-                acc[p] = acc.get(p, 0) + e
-        return FactoredInteger(sign, tuple(sorted(acc.items())))
-
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def ord_p(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def odd_part(self) -> "FactoredInteger":
-        return FactoredInteger(
-            self.sign, tuple((p, e) for p, e in self.factors if p != 2)
-        )
-
-    def divisors(self) -> list[int]:
-        return divisors_from_factors(dict(self.factors))
-
-    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        acc = dict(self.factors)
-        for p, e in other.factors:
-            acc[p] = acc.get(p, 0) + e
-        return FactoredInteger(self.sign * other.sign, tuple(sorted(acc.items())))
-
-
-class FactoredRational:
-    """Mutable sign * product(p^e) with exponents in Z, for running products.
-
-    Used by coefficient screens that multiply and divide many small integers;
-    a negative exponent is exactly "prime p survives in the denominator".
-    """
-
-    __slots__ = ("sign", "exps")
-
-    def __init__(self, sign: int = 1, exps: Optional[dict[int, int]] = None):
-        self.sign = sign
-        self.exps = dict(exps) if exps else {}
-
-    def copy(self) -> "FactoredRational":
-        return FactoredRational(self.sign, self.exps)
-
-    def mul_int(self, n: int) -> "FactoredRational":
-        if n == 0:
-            raise ValueError("zero multiplier")
-        if n < 0:
-            self.sign = -self.sign
-            n = -n
-        for p, e in factorize(n).items():
-            new = self.exps.get(p, 0) + e
-            if new:
-                self.exps[p] = new
-            else:
-                del self.exps[p]
-        return self
-
-    def div_int(self, n: int) -> "FactoredRational":
-        if n == 0:
-            raise ZeroDivisionError
-        if n < 0:
-            self.sign = -self.sign
-            n = -n
-        for p, e in factorize(n).items():
-            new = self.exps.get(p, 0) - e
-            if new:
-                self.exps[p] = new
-            else:
-                del self.exps[p]
-        return self
-
-    def denominator_primes(self, allowed: Sequence[int] = ()) -> list[int]:
-        """Primes with negative exponent, excluding `allowed`, sorted."""
-        return sorted(
-            p for p, e in self.exps.items() if e < 0 and p not in allowed
-        )
-
-    def bit_size(self) -> int:
-        """Upper estimate of the bit length of the expanded value."""
-        return sum(abs(e) * p.bit_length() for p, e in self.exps.items())
-
-    def maybe_fraction(self, bit_cap: int = 2048) -> Optional[Fraction]:
-        """Expanded value, or None when it would be unreasonably large."""
-        if self.bit_size() > bit_cap:
-            return None
-        return self.to_fraction()
-
-    def to_fraction(self) -> Fraction:
-        num = self.sign
-        den = 1
-        for p, e in self.exps.items():
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p ** (-e)
-        return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +532,8 @@ def refine_root(p: RatPoly, interval: RootInterval, max_width: Fraction) -> Root
     if fhi == 0:
         return RootInterval(hi, hi)
     slo = _sign(flo)
-    assert slo != _sign(fhi), "interval must bracket a sign change"
+    if slo == _sign(fhi):
+        raise ValueError("interval must bracket a sign change")
     while hi - lo > max_width:
         mid = (lo + hi) / 2
         fm = p(mid)
@@ -822,7 +711,8 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
             while True:
                 if iv.exact:
                     r = iv.lo
-                    assert r.denominator == 1
+                    if r.denominator != 1:
+                        raise AssertionError(f"exact root {r} is not an integer")
                     work = strip_root(work, int(r))
                     stripped = True
                     break

@@ -100,7 +100,8 @@ def node_square_poly(m: int, dim: int) -> RatPoly:
     if m < 1:
         raise ValueError("m must be positive")
     parity, part = orthopoly_square_parts(m + 1, dim)[m]
-    assert parity == m % 2
+    if parity != m % 2:
+        raise AssertionError(f"q_{m} has parity {parity}, expected {m % 2}")
     return part
 
 

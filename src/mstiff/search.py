@@ -301,7 +301,8 @@ def _classify_branch(
                 "only the stream-classified degree was decided"
             ),
         )
-    assert bound is not None
+    if bound is None:
+        raise AssertionError(f"no nonexistence bound for dimension {dim}")
     ns = tuple(range(2, bound.threshold))
     rows, existing, unresolved = _decide_candidates(dim, odd_deg, ns)
     return BranchOutcome(

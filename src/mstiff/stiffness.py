@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact_core import (
-    FactoredRational,
     NewtonPolygon,
     RatPoly,
     RootWitness,
+    factorize,
     newton_polygon_from_valuations,
     rational_roots,
 )
@@ -193,36 +193,66 @@ class ScreenReport:
 _VALUE_BIT_CAP = 2048
 
 
+def _expand(exps: dict[int, int], bit_cap: int) -> Optional[Fraction]:
+    """prod(q^e) as a Fraction, or None once an upper estimate of its bit
+    size exceeds bit_cap."""
+    num = den = 1
+    bits = 0
+    for q, e in exps.items():
+        if e > 0:
+            num *= q**e
+            bits += e * q.bit_length()
+        elif e < 0:
+            den *= q**-e
+            bits -= e * q.bit_length()
+        if bits > bit_cap:
+            return None
+    return Fraction(num, den)
+
+
 def screen_coefficients(
     m: int, dim: int, track_primes: Sequence[int] = (2, 3, 5)
 ) -> ScreenReport:
     """Walk u_1..u_n in factored form; stop at the first coefficient with a
     forbidden denominator.  On success, return the tracked valuations so a
-    Newton screen can run without expanding any coefficient."""
+    Newton screen can run without expanding any coefficient.
+
+    Step r multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step).
+    The four factors are small, so each is factored on its own.  A new
+    denominator prime can only be a prime of the step's divisor, and an
+    earlier one would already have stopped the walk, so only the divisor's
+    primes are tested."""
     p = stiff_params(m, dim)
-    acc = FactoredRational()
+    n, shift, step, odd = p.n, p.shift, p.denominator_step, p.odd
+    three_allowed = 3 if odd else 0
+    exps: dict[int, int] = {}
+    get = exps.get
     tracks: dict[int, list[int]] = {q: [] for q in track_primes}
-    denom_allowed = (3,) if p.odd else ()
-    for r in range(1, p.n + 1):
-        acc.mul_int((p.n - r + 1) * (p.shift + 2 * r - 2))
-        acc.div_int(r * (2 * r - 2 + p.denominator_step))
-        bad = acc.denominator_primes(allowed=denom_allowed)
-        if not bad and p.odd and acc.exps.get(3, 0) < -r:
-            bad = [3]
+    for r in range(1, n + 1):
+        for x in (n - r + 1, shift + 2 * r - 2):
+            for q, e in factorize(x).items():
+                exps[q] = get(q, 0) + e
+        bad = 0
+        for x in (r, 2 * r - 2 + step):
+            for q, e in factorize(x).items():
+                exps[q] = v = get(q, 0) - e
+                if v < 0 and q != three_allowed and (not bad or q < bad):
+                    bad = q
+        if not bad and odd and get(3, 0) < -r:
+            bad = 3
         if bad:
-            prime = bad[0]
             return ScreenReport(
                 NonIntegerCoefficient(
                     index=r,
-                    prime=prime,
-                    valuation=acc.exps[prime],
-                    value=acc.maybe_fraction(_VALUE_BIT_CAP),
-                    detail=f"prime {prime} survives in the denominator of u_{r}",
+                    prime=bad,
+                    valuation=exps[bad],
+                    value=_expand(exps, _VALUE_BIT_CAP),
+                    detail=f"prime {bad} survives in the denominator of u_{r}",
                 ),
                 None,
             )
         for q in track_primes:
-            tracks[q].append(acc.exps.get(q, 0))
+            tracks[q].append(get(q, 0))
     return ScreenReport(None, {q: tuple(v) for q, v in tracks.items()})
 
 
@@ -350,7 +380,8 @@ def newton_screen(
         report = screen_coefficients(m, dim, track_primes=primes)
     if report.witness is not None:
         raise ValueError("coefficient screen must pass before a Newton screen")
-    assert report.valuations is not None
+    if report.valuations is None:
+        raise ValueError("screen report carries no valuations")
     for q in primes:
         ords = report.valuations[q]
         vals: list[Optional[int]] = []

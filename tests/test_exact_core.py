@@ -11,10 +11,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mstiff.exact_core import (
-    FactoredInteger,
-    FactoredRational,
     NewtonPolygon,
     RatPoly,
     divisors_from_factors,
@@ -45,6 +45,39 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
+def trial_division(n: int) -> dict[int, int]:
+    n = abs(n)
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@given(st.integers(1, 1 << 17), st.sampled_from((1, -1)))
+def test_factorize_matches_trial_division(n, sign):
+    # inputs below 2^16 are read off the least-prime-factor table, larger
+    # ones take the probable-prime route; both must agree with the twin
+    assert factorize(sign * n) == trial_division(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    ((1 << 16) - 1, {3: 1, 5: 1, 17: 1, 257: 1}),  # last table entry
+    (1 << 16, {2: 16}),  # first input past the table
+    (65521, {65521: 1}),  # largest prime in the table
+    (251 * 257, {251: 1, 257: 1}),  # least factor near the byte limit
+    (1, {}),
+])
+def test_factorize_at_the_table_edge(n, factors):
+    assert factorize(n) == factors
+    assert factorize(-n) == factors
+
+
 def test_factorize_negative_and_zero():
     assert factorize(-360) == {2: 3, 3: 2, 5: 1}
     with pytest.raises(ValueError):
@@ -71,29 +104,6 @@ def test_ord_p():
     assert ord_p(0, 3) == math.inf
     with pytest.raises(ValueError):
         ord_p(10, 4)
-
-
-def test_factored_integer():
-    f = FactoredInteger.from_product([12, -35, 9])
-    assert f.value() == 12 * -35 * 9
-    assert f.sign == -1
-    g = FactoredInteger.from_int(60)
-    assert g.divisors() == brute_divisors(60)
-    assert FactoredInteger.from_int(240).odd_part().value() == 15
-    assert (FactoredInteger.from_int(6) * FactoredInteger.from_int(-10)).value() == -60
-
-
-def test_factored_rational_running_product():
-    acc = FactoredRational()
-    acc.mul_int(50).div_int(4).mul_int(9).div_int(25)
-    assert acc.to_fraction() == Fraction(9, 2)
-    assert acc.denominator_primes() == [2]
-    assert acc.denominator_primes(allowed=(2,)) == []
-
-    acc2 = FactoredRational()
-    acc2.mul_int(14080).div_int(7 * 16)
-    assert acc2.to_fraction() == Fraction(14080, 112)
-    assert 7 in acc2.denominator_primes()
 
 
 # --- polynomials ---------------------------------------------------------
@@ -178,6 +188,26 @@ def test_refine_sqrt2():
     assert r.width() <= Fraction(1, 10**30)
     rn = refine_root(p, iv_neg, Fraction(1, 10**30))
     assert rn.hi < 0 and rn.lo**2 > 2 > rn.hi**2
+
+
+def test_refine_root_rejects_interval_without_sign_change_under_optimize_flag():
+    # [2, 3] holds no root of x^2 - 2; without the check, bisection would
+    # return a narrow interval that holds none either
+    script = (
+        "from fractions import Fraction\n"
+        "from mstiff.exact_core import RatPoly, RootInterval, refine_root\n"
+        "p = RatPoly.from_coeffs([-2, 0, 1])\n"
+        "try:\n"
+        "    print(refine_root(p, RootInterval(Fraction(2), Fraction(3)),"
+        " Fraction(1, 100)))\n"
+        "except ValueError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: interval must bracket a sign change\n"
 
 
 def test_random_planted_roots_isolated():

@@ -7,8 +7,10 @@ serve as an independent second route everywhere the two meet.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mstiff.exact_core import FactoredRational
+from mstiff.exact_core import factorize
 from mstiff.gegenbauer import closed_form_quadrature, moment
 from mstiff.stiffness import (
     BoundExceeded,
@@ -136,9 +138,61 @@ def test_screen_valuations_track_orders():
     assert rep.valuations[5] == (2, 2)
     for prime in (2, 3, 5):
         for u, v in zip(us, rep.valuations[prime]):
-            check = FactoredRational()
-            check.mul_int(u.numerator)
-            assert check.exps.get(prime, 0) == v
+            assert factorize(u.numerator).get(prime, 0) == v
+
+
+def product_walk_screen(m, dim, track_primes=(2, 3, 5)):
+    """Slow twin of screen_coefficients: multiply each step's factors
+    before factoring them, and test every exponent after every step."""
+    p = stiff_params(m, dim)
+    exps: dict[int, int] = {}
+    tracks = {q: [] for q in track_primes}
+    for r in range(1, p.n + 1):
+        num = (p.n - r + 1) * (p.shift + 2 * r - 2)
+        den = r * (2 * r - 2 + p.denominator_step)
+        for q, e in factorize(num).items():
+            exps[q] = exps.get(q, 0) + e
+        for q, e in factorize(den).items():
+            exps[q] = exps.get(q, 0) - e
+        bad = sorted(
+            q for q, e in exps.items() if e < 0 and not (p.odd and q == 3)
+        )
+        if not bad and p.odd and exps.get(3, 0) < -r:
+            bad = [3]
+        if bad:
+            # the value is left out when its estimated size passes 2048 bits
+            value = None
+            if sum(abs(e) * q.bit_length() for q, e in exps.items()) <= 2048:
+                value = Fraction(1)
+                for q, e in exps.items():
+                    value *= Fraction(q) ** e
+            return (r, bad[0], exps[bad[0]], value), None
+        for q in track_primes:
+            tracks[q].append(exps.get(q, 0))
+    return None, {q: tuple(v) for q, v in tracks.items()}
+
+
+def assert_screen_matches_product_walk(m, dim):
+    rep = screen_coefficients(m, dim)
+    witness, valuations = product_walk_screen(m, dim)
+    assert rep.valuations == valuations
+    if witness is None:
+        assert rep.witness is None
+    else:
+        w = rep.witness
+        assert (w.index, w.prime, w.valuation, w.value) == witness
+
+
+@given(st.integers(2, 400), st.integers(3, 600))
+def test_screen_matches_product_walk(m, dim):
+    # both degree parities, so the odd-degree 3-allowance is exercised
+    assert_screen_matches_product_walk(m, dim)
+
+
+@pytest.mark.parametrize("m, dim", [(1233, 4), (1184, 6)])
+def test_screen_matches_product_walk_past_the_value_cap(m, dim):
+    assert_screen_matches_product_walk(m, dim)
+    assert screen_coefficients(m, dim).witness.value is None
 
 
 def test_top_screen_agrees_with_full_screen():
