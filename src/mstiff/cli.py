@@ -200,6 +200,19 @@ def _verdict_sections(verdict: StiffVerdict) -> tuple[list[str], list[str]]:
 # ---------------------------------------------------------------------------
 # exists
 
+def _exists_json(verdict: StiffVerdict) -> dict:
+    """The object `exists --format json` prints for one cell."""
+    return {
+        "m": verdict.m,
+        "d": verdict.dim,
+        "verdict": "exists" if verdict.exists else "not_exists",
+        "roots": [fraction_str(r) for r in
+                  (verdict.certificate.s_roots if verdict.exists else ())],
+        "lambdas": _verdict_sections(verdict)[1],
+        "witness": None if verdict.exists else _witness_json(verdict.witness),
+    }
+
+
 def cmd_exists(cfg: RunConfig) -> int:
     _require_format(cfg.output_format, ("text", "json"))
     m = cfg.parameters["m"]
@@ -213,21 +226,11 @@ def cmd_exists(cfg: RunConfig) -> int:
     except UndecidedError as e:
         raise StateError(str(e)) from e
 
-    zeros, lambdas = _verdict_sections(verdict)
     if cfg.output_format == "json":
-        payload = {
-            "m": m,
-            "d": d,
-            "verdict": "exists" if verdict.exists else "not_exists",
-            "roots": [fraction_str(r) for r in
-                      (verdict.certificate.s_roots if verdict.exists else ())],
-            "lambdas": lambdas,
-            "witness": None if verdict.exists
-            else _witness_json(verdict.witness),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n")
+        _emit(json.dumps(_exists_json(verdict), indent=2) + "\n")
         return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
+    zeros, lambdas = _verdict_sections(verdict)
     if not verdict.exists:
         _emit(
             f"NotExists: no {m}-stiff configuration on S^{d - 1} (d = {d})\n"
@@ -364,14 +367,33 @@ def _digest(verdict: dict) -> str:
 
 
 def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
-    """Cell verdicts keyed by dimension; raises StateError when corrupt."""
+    """Cell verdicts keyed by dimension; raises StateError when corrupt.
+
+    A crash mid-append leaves one unterminated final line.  If it does not
+    parse, it is dropped and cut from the file; if it does, the file gets
+    its newline.  Either way the next append starts on a fresh line."""
     replayed: dict[int, dict] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            with path.open("r+b") as fh:
+                try:
+                    json.loads(data[keep:])
+                except ValueError:
+                    fh.truncate(keep)
+                    data = data[:keep]
+                else:
+                    fh.seek(0, 2)
+                    fh.write(b"\n")
     except FileNotFoundError:
         return replayed
     except OSError as e:
         raise StateError(f"cannot read checkpoint {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise StateError(f"checkpoint {path}: not UTF-8 text ({e})") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue

@@ -333,17 +333,6 @@ class RatPoly:
                     rem[i + j] -= c * b
         return RatPoly(_trim(tuple(quot))), RatPoly(_trim(tuple(rem)))
 
-    def divide_linear(self, root: Fraction) -> "RatPoly":
-        """Exact synthetic division by (x - root); raises if not a root."""
-        acc = Fraction(0)
-        out = [Fraction(0)] * max(len(self.coeffs) - 1, 0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * root + self.coeffs[i]
-            out[i - 1] = acc
-        if acc * root + self.coeffs[0] != 0:
-            raise ValueError(f"{root} is not a root")
-        return RatPoly(_trim(tuple(out)))
-
     def gcd(self, other: "RatPoly") -> "RatPoly":
         a, b = self, other
         while b.coeffs:
@@ -359,13 +348,6 @@ class RatPoly:
         if g.degree <= 0:
             return self
         return self.divmod(g)[0]
-
-    def integer_cleared(self) -> tuple[list[int], int]:
-        """(integer coefficient list ascending, common denominator used)."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +367,15 @@ def _primitive_int(coeffs: Sequence[Fraction]) -> list[int]:
     return ints
 
 
-def _int_poly_eval(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    num, den = x.numerator, x.denominator
+def _sign_at(coeffs: Sequence[int], num: int, den: int = 1) -> int:
+    """Sign of the integer polynomial at num/den (den > 0), read off
+    den^deg * p(num/den), which Horner's rule keeps in integers."""
     acc = 0
     scale = 1
-    # evaluate den^deg * p(num/den) to stay in integers
     for c in reversed(coeffs):
         acc = acc * num + c * scale
         scale *= den
-    return Fraction(acc)  # only the sign and zero-ness matter to callers
+    return (acc > 0) - (acc < 0)
 
 
 def _int_poly_derivative(coeffs: Sequence[int]) -> list[int]:
@@ -446,12 +428,9 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _chain_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    return _variations([_sign(_int_poly_eval(f, x)) for f in chain])
+    num, den = x.numerator, x.denominator
+    return _variations([_sign_at(f, num, den) for f in chain])
 
 
 @dataclass(frozen=True)
@@ -499,10 +478,10 @@ def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] =
         if count == 0:
             return
         if count == 1:
-            if _int_poly_eval(f0, b) == 0:
+            if _sign_at(f0, b.numerator, b.denominator) == 0:
                 out.append(RootInterval(b, b))
                 return
-            if _int_poly_eval(f0, a) != 0:
+            if _sign_at(f0, a.numerator, a.denominator) != 0:
                 out.append(RootInterval(a, b))
                 return
             # a is itself a root (reported by the neighbouring call); shrink
@@ -512,7 +491,7 @@ def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] =
         visit(a, mid, va, vm)
         visit(mid, b, vm, vb)
 
-    if _int_poly_eval(f0, lo) == 0:
+    if _sign_at(f0, lo.numerator, lo.denominator) == 0:
         # V(a) - V(b) counts roots in the half-open (a, b], so the root at
         # the left boundary needs its own report
         out.append(RootInterval(lo, lo))
@@ -522,28 +501,38 @@ def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] =
 
 def refine_root(p: RatPoly, interval: RootInterval, max_width: Fraction) -> RootInterval:
     """Bisect an isolating interval until its width is <= max_width."""
+    return _refine(_primitive_int(p.coeffs), interval, max_width)
+
+
+def _refine(f: Sequence[int], interval: RootInterval, max_width: Fraction) -> RootInterval:
+    # refine_root on the primitive integer polynomial f, bisecting the
+    # numerators a/den < b/den so that no step builds a Fraction
     if interval.exact:
         return interval
     lo, hi = interval.lo, interval.hi
-    flo = p(lo)
-    if flo == 0:
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    slo = _sign_at(f, a, den)
+    if slo == 0:
         return RootInterval(lo, lo)
-    fhi = p(hi)
-    if fhi == 0:
+    shi = _sign_at(f, b, den)
+    if shi == 0:
         return RootInterval(hi, hi)
-    slo = _sign(flo)
-    if slo == _sign(fhi):
+    if slo == shi:
         raise ValueError("interval must bracket a sign change")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            return RootInterval(mid, mid)
-        if _sign(fm) == slo:
-            lo = mid
+    wn, wd = max_width.numerator, max_width.denominator
+    while (b - a) * wd > wn * den:
+        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
+        sm = _sign_at(f, mid, den)
+        if sm == 0:
+            root = Fraction(mid, den)
+            return RootInterval(root, root)
+        if sm == slo:
+            a = mid
         else:
-            hi = mid
-    return RootInterval(lo, hi)
+            b = mid
+    return RootInterval(Fraction(a, den), Fraction(b, den))
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +545,9 @@ class RootWitness:
     kind is one of:
       "non-integral-coefficient": clearing denominators left a fractional
           coefficient, impossible when all roots have allowed denominators;
-      "isolated-interval": `interval` brackets a real root and every allowed
-          candidate inside was checked and rejected;
-      "divisor-exhaustion": all divisor candidates of the constant term were
-          rejected, yet unexplained roots remain;
+      "isolated-interval": `interval` brackets a real root of the factor
+          left after stripping every allowed rational root, and holds no
+          allowed candidate;
       "complex-roots": fewer real roots than the degree after accounting for
           the rational ones found.
     """
@@ -567,7 +555,6 @@ class RootWitness:
     kind: str
     detail: str
     interval: Optional[tuple[Fraction, Fraction]] = None
-    candidates_checked: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -577,45 +564,55 @@ class RootReport:
     witness: Optional[RootWitness]
 
 
-_DIVISOR_ENUM_CAP = 1 << 14
-# once divisor enumeration has ruled out every allowed candidate, isolating
-# intervals add nothing for big factors, so cap the pretty-witness effort
-_ISOLATE_DEGREE_CAP = 8
-_CANDIDATE_BATCH = 8
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def _integer_roots_by_divisors(
-    coeffs: Sequence[int],
-) -> Optional[tuple[list[int], list[int]]]:
-    """(roots found, candidates checked) via divisor enumeration, or None if
-    the constant term is too hard to factor or has too many divisors."""
-    const = coeffs[0]
-    if abs(const).bit_length() > 512:
-        return None
-    fac = factorize(const)
-    ndiv = 1
-    for e in fac.values():
-        ndiv *= e + 1
-        if ndiv > _DIVISOR_ENUM_CAP:
-            return None
-    bound = _root_bound(coeffs)
-    checked: list[int] = []
-    roots: list[int] = []
-    for d in divisors_from_factors(fac):
-        if d > bound:
-            break
-        for cand in (d, -d):
-            checked.append(cand)
-            if _int_poly_eval(coeffs, Fraction(cand)) == 0:
-                roots.append(cand)
-    return roots, checked
+def _no_root_mod_small_prime(coeffs: Sequence[int]) -> bool:
+    """True if some prime p <= 19 leaves the integer polynomial without a
+    root mod p, which proves it has no integer root (an integer root k
+    gives the root k mod p)."""
+    for p in _SIEVE_PRIMES:
+        cs = [c % p for c in reversed(coeffs)]
+        for x in range(p):
+            acc = 0
+            for c in cs:
+                acc = (acc * x + c) % p
+            if acc == 0:
+                break
+        else:
+            return True
+    return False
+
+
+def _settle(f: Sequence[int], iv: RootInterval) -> tuple[Optional[int], RootInterval]:
+    """(the integer root in iv, the refinement that pinned it), or (None,
+    the first quarter-width refinement of iv that holds no integer), for
+    the primitive integer polynomial f and one of its isolating intervals."""
+    while not iv.exact:
+        first = math.ceil(iv.lo)
+        last = math.floor(iv.hi)
+        if last < first:
+            return None, iv
+        # the root stays inside every refinement, so an integer root is
+        # the only integer left once the bracket is narrow enough
+        if first == last and _sign_at(f, first) == 0:
+            return first, iv
+        iv = _refine(f, iv, iv.width() / 4)
+    if iv.lo.denominator != 1:
+        raise AssertionError(f"exact root {iv.lo} is not an integer")
+    return int(iv.lo), iv
 
 
 def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] = frozenset({1})) -> RootReport:
     """Decide whether every root of monic p is rational with denominator in
     the allowed set; otherwise produce a checkable witness.
 
-    allowed_denominators must be {1} or {1, 3}.
+    allowed_denominators must be {1} or {1, 3}.  After the substitution
+    x = y/q the polynomial is monic with integer coefficients, so its
+    rational roots are integers; each isolating interval of its squarefree
+    part is refined until it pins an integer root or holds no integer.
+    Every integer root is stripped, and the witness is the first interval
+    of what remains.
     """
     allowed = frozenset(allowed_denominators)
     if allowed not in (frozenset({1}), frozenset({1, 3})):
@@ -667,32 +664,12 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
             poly = new
             roots.append(Fraction(r, q))
 
-    checked: list[Fraction] = []
-    enum_done = False
-    if len(work) > 1:
-        enum = _integer_roots_by_divisors(work)
-        if enum is not None:
-            enum_done = True
-            int_roots, cand = enum
-            checked.extend(Fraction(c, q) for c in cand)
-            for r in sorted(int_roots):
-                work = strip_root(work, r)
-
-    # a monic integer polynomial in y only admits integer rational roots, so
-    # after the divisor pass (or isolation-driven stripping below) whatever
-    # factor is left certifies failure
+    # the first pass finds every integer root, so once they are stripped the
+    # second pass's first interval holds none; when the first interval holds
+    # no integer and the sieve proves there is no integer root at all, the
+    # other intervals need no settling
+    stripped = False
     while len(work) > 1:
-        if enum_done and len(work) - 1 > _ISOLATE_DEGREE_CAP:
-            return RootReport(
-                False,
-                (),
-                RootWitness(
-                    "divisor-exhaustion",
-                    "every divisor candidate of the constant term was "
-                    f"rejected but a degree-{len(work) - 1} factor remains",
-                    candidates_checked=tuple(checked),
-                ),
-            )
         sf = RatPoly.from_coeffs(work).squarefree_part()
         intervals = isolate_real_roots(sf)
         if not intervals:
@@ -703,50 +680,32 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
                     "complex-roots",
                     f"remaining factor of degree {len(work) - 1} has no "
                     "real roots",
-                    candidates_checked=tuple(checked),
                 ),
             )
-        stripped = False
-        for iv in intervals:
-            while True:
-                if iv.exact:
-                    r = iv.lo
-                    if r.denominator != 1:
-                        raise AssertionError(f"exact root {r} is not an integer")
-                    work = strip_root(work, int(r))
-                    stripped = True
-                    break
-                first = math.ceil(iv.lo)
-                last = math.floor(iv.hi)
-                if last < first:
-                    return RootReport(
-                        False,
-                        (),
-                        RootWitness(
-                            "isolated-interval",
-                            "bracketed real root admits no candidate with "
-                            f"denominator in {sorted(allowed)}",
-                            interval=(iv.lo / q, iv.hi / q),
-                            candidates_checked=tuple(checked),
-                        ),
-                    )
-                if last - first >= _CANDIDATE_BATCH:
-                    # wide bracket: narrow it before looking at integers,
-                    # never materialize the integers of a huge interval
-                    iv = refine_root(sf, iv, iv.width() / 4)
-                    continue
-                cands = [Fraction(k) for k in range(first, last + 1)]
-                hits = [c for c in cands if sf(c) == 0]
-                if hits:
-                    work = strip_root(work, int(hits[0]))
-                    stripped = True
-                    break
-                checked.extend(Fraction(int(c), q) for c in cands)
-                iv = refine_root(sf, iv, iv.width() / 4)
-            if stripped:
-                break  # work changed; re-isolate what is left
-        if not stripped:
-            raise AssertionError("isolation pass stripped no root")
+        f = _primitive_int(sf.coeffs)
+        root, first_iv = _settle(f, intervals[0])
+        found = [] if root is None else [root]
+        if root is not None or not (
+            stripped or _no_root_mod_small_prime(work)
+        ):
+            for iv in intervals[1:]:
+                r = _settle(f, iv)[0]
+                if r is not None:
+                    found.append(r)
+        if not found:
+            return RootReport(
+                False,
+                (),
+                RootWitness(
+                    "isolated-interval",
+                    "bracketed real root admits no candidate with "
+                    f"denominator in {sorted(allowed)}",
+                    interval=(first_iv.lo / q, first_iv.hi / q),
+                ),
+            )
+        for r in found:
+            work = strip_root(work, r)
+        stripped = True
 
     report_roots = tuple(sorted(roots))
     # verification pass: every reported root really is a root, count matches

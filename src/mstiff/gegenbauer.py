@@ -30,7 +30,6 @@ __all__ = [
     "orthopoly_square_parts",
     "node_square_poly",
     "kernel_poly",
-    "christoffel_inverse_at_xsq",
     "SymmetricQuadrature",
     "quadrature_from_node_squares",
     "QuadSurd",
@@ -126,13 +125,6 @@ def kernel_poly(num_terms: int, dim: int) -> RatPoly:
     return K
 
 
-def christoffel_inverse_at_xsq(
-    num_terms: int, dim: int, xsq: Fraction | int
-) -> Fraction:
-    """Kernel value at a squared abscissa; the reciprocal weight."""
-    return kernel_poly(num_terms, dim)(Fraction(xsq))
-
-
 @dataclass(frozen=True)
 class SymmetricQuadrature:
     """A quadrature symmetric under x -> -x, with exact rational data.
@@ -149,12 +141,6 @@ class SymmetricQuadrature:
     @property
     def total_points(self) -> int:
         return 2 * len(self.pairs) + (0 if self.center_weight is None else 1)
-
-    def total_mass(self) -> Fraction:
-        mass = sum((2 * w for _, w in self.pairs), Fraction(0))
-        if self.center_weight is not None:
-            mass += self.center_weight
-        return mass
 
     def verify(self, strength: int) -> None:
         """Exact check that the rule integrates all polynomials of degree

@@ -221,7 +221,9 @@ def screen_coefficients(
     The four factors are small, so each is factored on its own.  A new
     denominator prime can only be a prime of the step's divisor, and an
     earlier one would already have stopped the walk, so only the divisor's
-    primes are tested."""
+    primes are tested.  Odd degrees allow 3 in the denominator: u_r is
+    C(n, r) times the rising product over 3*5*...*(2r+1), whose ord_3 is at
+    most r, which is all the denominator 3^r of the roots can absorb."""
     p = stiff_params(m, dim)
     n, shift, step, odd = p.n, p.shift, p.denominator_step, p.odd
     three_allowed = 3 if odd else 0
@@ -238,8 +240,6 @@ def screen_coefficients(
                 exps[q] = v = get(q, 0) - e
                 if v < 0 and q != three_allowed and (not bad or q < bad):
                     bad = q
-        if not bad and odd and get(3, 0) < -r:
-            bad = 3
         if bad:
             return ScreenReport(
                 NonIntegerCoefficient(

@@ -328,6 +328,52 @@ def test_checkpoint_corruption_is_a_state_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_checkpoint_torn_last_line_is_dropped_on_resume(tmp_path, capsys):
+    ck = tmp_path / "sweep.jsonl"
+    _, fresh, _ = run(capsys, "classify", "--deg", "6", "--max-d", "10",
+                      "--checkpoint", str(ck), "--format", "json")
+    text = ck.read_text()
+    ck.write_text(text[: len(text) - 40])  # a crash mid-append
+    code, resumed, _ = run(
+        capsys, "classify", "--deg", "6", "--max-d", "10",
+        "--checkpoint", str(ck), "--format", "json"
+    )
+    assert code == 0
+    summary = json.loads(resumed.splitlines()[-1])
+    assert summary["cells_replayed"] == 7
+    assert summary["cells_examined"] == 1
+    assert resumed.splitlines()[:-1] == fresh.splitlines()[:-1]
+    lines = ck.read_text().split("\n")
+    assert lines[-1] == "" and len(lines) == 9
+    for line in lines[:-1]:
+        json.loads(line)
+
+    # a torn line anywhere but at the end is still corruption
+    ck.write_text(text[: len(text) - 40] + "\n" + text)
+    code, _, err = run(
+        capsys, "classify", "--deg", "6", "--max-d", "10",
+        "--checkpoint", str(ck), "--format", "json"
+    )
+    assert code == 4
+    assert "line 8: invalid JSON" in err
+
+
+def test_checkpoint_whole_unterminated_last_line_is_kept(tmp_path, capsys):
+    ck = tmp_path / "sweep.jsonl"
+    run(capsys, "classify", "--deg", "6", "--max-d", "10",
+        "--checkpoint", str(ck), "--format", "json")
+    ck.write_text(ck.read_text().rstrip("\n"))
+    code, out, _ = run(
+        capsys, "classify", "--deg", "6", "--max-d", "11",
+        "--checkpoint", str(ck), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["cells_replayed"] == 8
+    lines = ck.read_text().splitlines()
+    assert len(lines) == 9 and [json.loads(x)["cell"] for x in lines][-2:] \
+        == [[6, 10], [6, 11]]
+
+
 def test_checkpoint_wrong_sweep_rejected(tmp_path, capsys):
     ck = tmp_path / "sweep.jsonl"
     run(capsys, "classify", "--deg", "6", "--max-d", "10",

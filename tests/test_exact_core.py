@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mstiff.exact_core import (
+    _no_root_mod_small_prime,
     NewtonPolygon,
     RatPoly,
     divisors_from_factors,
@@ -27,6 +28,7 @@ from mstiff.exact_core import (
     refine_root,
     sturm_chain,
 )
+from mstiff.stiffness import s_poly, stiff_exists, stiff_params
 
 
 # --- factorization -------------------------------------------------------
@@ -117,9 +119,6 @@ def test_ratpoly_arith_and_eval():
     quot, rem = prod.divmod(q)
     assert rem.coeffs == () and quot.coeffs == p.coeffs
     assert p.derivative().coeffs == (Fraction(-5), Fraction(2))
-    assert p.divide_linear(Fraction(2)).coeffs == (Fraction(-3), Fraction(1))
-    with pytest.raises(ValueError):
-        p.divide_linear(Fraction(5))
 
 
 def test_ratpoly_gcd_squarefree():
@@ -232,8 +231,8 @@ def test_rational_roots_quadratic_yes():
 
 
 def test_rational_roots_verification_survives_optimize_flag():
-    # evaluation is patched to deny that the divisor-found roots 1 and -1
-    # of x^2 - 1 are roots; the verification pass must catch that even
+    # evaluation is patched to deny that the found roots 1 and -1 of
+    # x^2 - 1 are roots; the verification pass must catch that even
     # under python -O, where assert statements are stripped
     script = (
         "from fractions import Fraction\n"
@@ -312,9 +311,9 @@ def test_rational_roots_golden_ratio():
     assert rep.witness.kind == "isolated-interval"
 
 
-def test_rational_roots_large_degree_exhaustion():
-    # x^65 + x + 1 times (x - 2): constant -2, so divisor candidates are
-    # exhausted, the found root is stripped, and a big factor remains
+def test_rational_roots_large_degree_isolated_interval():
+    # x^65 + x + 1 times (x - 2): the root 2 is stripped, and the first
+    # interval of the degree-65 remainder is the witness
     big = [0] * 66
     big[0] = 1
     big[1] = 1
@@ -322,8 +321,8 @@ def test_rational_roots_large_degree_exhaustion():
     p = RatPoly.from_coeffs(big) * RatPoly.from_coeffs([-2, 1])
     rep = rational_roots(p)
     assert not rep.all_rational
-    assert rep.witness.kind == "divisor-exhaustion"
-    assert Fraction(2) in rep.witness.candidates_checked
+    assert rep.witness.kind == "isolated-interval"
+    assert_witness_interval_checks(rep.witness, big, {1})
 
 
 def test_rational_roots_random_planted():
@@ -338,6 +337,107 @@ def test_rational_roots_random_planted():
         p2 = p * RatPoly.from_coeffs([-2, 0, 1])
         rep2 = rational_roots(p2)
         assert not rep2.all_rational
+
+
+# --- slow twins of the root certification -------------------------------
+
+def int_eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def divisor_twin(coeffs):
+    """(integer roots with multiplicity, what is left) of a monic integer
+    polynomial, by trying every divisor of the constant term."""
+    roots, work = [], list(coeffs)
+    while len(work) > 1 and work[0] == 0:
+        roots.append(0)
+        work = work[1:]
+    const = abs(work[0])
+    divs = [d for d in range(1, math.isqrt(const) + 1) if const % d == 0]
+    for d in sorted(set(divs + [const // d for d in divs])):
+        for cand in (d, -d):
+            while len(work) > 1 and int_eval(work, cand) == 0:
+                roots.append(cand)
+                quot, carry = [0] * (len(work) - 1), 0
+                for i in range(len(work) - 1, 0, -1):
+                    carry = carry * cand + work[i]
+                    quot[i - 1] = carry
+                work = quot
+    return sorted(roots), work
+
+
+def assert_witness_interval_checks(witness, remainder, allowed):
+    # the interval brackets a sign change of the remainder, so holds one of
+    # its real roots, and holds no candidate k / q with q allowed
+    lo, hi = witness.interval
+    q = max(allowed)
+    assert lo < hi
+    assert RatPoly.from_coeffs(remainder)(lo) * RatPoly.from_coeffs(
+        remainder)(hi) < 0
+    assert math.ceil(lo * q) > math.floor(hi * q)
+
+
+planted = st.tuples(
+    st.lists(st.integers(-12, 12), max_size=4),
+    st.lists(st.integers(-40, 40), max_size=4),
+)
+
+
+@given(planted)
+def test_rational_roots_matches_divisor_twin(case):
+    roots, factor = case
+    coeffs = [int(c) for c in poly_from_roots(roots).coeffs]
+    p = RatPoly.from_coeffs(coeffs) * RatPoly.from_coeffs(factor + [1])
+    coeffs = [int(c) for c in p.coeffs]
+    assert abs(coeffs[0]) <= 10**6
+    twin_roots, remainder = divisor_twin(coeffs)
+    rep = rational_roots(p)
+    assert rep.all_rational == (len(remainder) == 1)
+    if rep.all_rational:
+        assert list(rep.roots) == [Fraction(r) for r in twin_roots]
+    elif rep.witness.kind == "isolated-interval":
+        assert_witness_interval_checks(rep.witness, remainder, {1})
+    else:
+        assert rep.witness.kind == "complex-roots"
+        assert not isolate_real_roots(
+            RatPoly.from_coeffs(remainder).squarefree_part()
+        )
+
+
+@given(planted, st.integers(-30, 30), st.booleans())
+def test_root_sieve_implies_no_integer_root(case, k, plant):
+    # no root mod some p <= 19 must mean brute force finds no integer root
+    roots, factor = case
+    p = poly_from_roots(roots) * RatPoly.from_coeffs(factor + [1])
+    if plant:
+        p = p * RatPoly.from_coeffs([-k, 1])
+    coeffs = [int(c) for c in p.coeffs]
+    if _no_root_mod_small_prime(coeffs):
+        bound = 1 + max(abs(c) for c in coeffs)
+        assert all(int_eval(coeffs, x) for x in range(-bound, bound + 1))
+
+
+def test_root_witness_intervals_of_section_polynomials():
+    # every isolated-interval witness of m <= 20, d <= 300 brackets a sign
+    # change of the section polynomial and holds no allowed candidate; the
+    # stripped rational roots keep one sign there, so the remainder's
+    # sign changes too
+    checked = 0
+    for m in range(2, 21):
+        for d in range(3, 301):
+            v = stiff_exists(m, d)
+            w = getattr(v.witness, "root_witness", None)
+            if w is None or w.kind != "isolated-interval":
+                continue
+            coeffs = s_poly(m, d).coeffs
+            assert_witness_interval_checks(
+                w, coeffs, stiff_params(m, d).allowed_denominators
+            )
+            checked += 1
+    assert checked > 300
 
 
 def test_rational_roots_requires_monic():

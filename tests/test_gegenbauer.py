@@ -14,7 +14,6 @@ from mstiff.exact_core import RatPoly
 from mstiff.gegenbauer import (
     QuadSurd,
     SymmetricQuadrature,
-    christoffel_inverse_at_xsq,
     closed_form_quadrature,
     kernel_poly,
     moment,
@@ -116,9 +115,9 @@ def test_chebyshev_special_case():
 # --- kernel values -------------------------------------------------------
 
 def test_kernel_frozen_values():
-    assert christoffel_inverse_at_xsq(4, 23, F(1, 5)) == F(184, 11)
-    assert christoffel_inverse_at_xsq(4, 23, F(1, 45)) == F(184, 81)
-    assert christoffel_inverse_at_xsq(4, 241, F(1, 45)) == F(2651, 125)
+    assert kernel_poly(4, 23)(F(1, 5)) == F(184, 11)
+    assert kernel_poly(4, 23)(F(1, 45)) == F(184, 81)
+    assert kernel_poly(4, 241)(F(1, 45)) == F(2651, 125)
 
 
 def test_kernel_three_point_legendre():

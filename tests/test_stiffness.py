@@ -189,6 +189,17 @@ def test_screen_matches_product_walk(m, dim):
     assert_screen_matches_product_walk(m, dim)
 
 
+def test_odd_degree_three_allowance_is_never_exceeded():
+    # ord_3 of the denominator 3*5*...*(2r+1) is at most r, and C(n, r)
+    # times the rising product is an integer, so ord_3(u_r) >= -r; the
+    # twin checks that allowance explicitly and must never reject on it,
+    # which is why screen_coefficients carries no such check
+    for m in range(3, 402, 2):
+        for dim in range(3, 601):
+            witness, _ = product_walk_screen(m, dim, track_primes=())
+            assert witness is None or witness[1] != 3, (m, dim)
+
+
 @pytest.mark.parametrize("m, dim", [(1233, 4), (1184, 6)])
 def test_screen_matches_product_walk_past_the_value_cap(m, dim):
     assert_screen_matches_product_walk(m, dim)
