@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -45,10 +46,10 @@ from .render import (
 )
 from .gegenbauer import QuadSurd
 from .search import (
-    _verdict_status,
     classify_dimension,
     resolve_theorem_tag,
     theorem_tags,
+    verdict_stage,
     verify_theorem,
 )
 from .stiffness import (
@@ -442,18 +443,16 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
     return replayed
 
 
-def _append_checkpoint(path: Path, kind: str, m: int, cells: list[dict]) -> None:
-    with path.open("a", encoding="utf-8", newline="\n") as fh:
-        for verdict in cells:
-            record = {
-                "kind": kind,
-                "cell": [m, verdict["d"]],
-                "verdict": verdict,
-                "digest": _digest(verdict),
-                "ts": datetime.now(timezone.utc).isoformat(),
-                "version": __version__,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _checkpoint_line(kind: str, m: int, verdict: dict) -> str:
+    record = {
+        "kind": kind,
+        "cell": [m, verdict["d"]],
+        "verdict": verdict,
+        "digest": _digest(verdict),
+        "ts": datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
+    }
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def _sweep_cell(args: tuple[int, int]) -> dict:
@@ -473,7 +472,7 @@ def _sweep_cell(args: tuple[int, int]) -> dict:
         "m": m,
         "d": d,
         "verdict": "not_exists",
-        "witness": _verdict_status(verdict),
+        "witness": verdict_stage(verdict),
     }
 
 
@@ -501,14 +500,27 @@ def _classify_deg_sweep(cfg: RunConfig) -> int:
 
     computed: list[dict] = []
     args = [(m, d) for d in todo]
-    if cfg.worker_count > 1 and len(args) > 1:
-        chunk = max(1, len(args) // (cfg.worker_count * 8))
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            computed = list(pool.map(_sweep_cell, args, chunksize=chunk))
-    else:
-        computed = [_sweep_cell(a) for a in args]
-    if ckpt is not None and computed:
-        _append_checkpoint(ckpt, kind, m, computed)
+    with ExitStack() as stack:
+        if cfg.worker_count > 1 and len(args) > 1:
+            chunk = max(1, len(args) // (cfg.worker_count * 8))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.worker_count)
+            )
+            results = pool.map(_sweep_cell, args, chunksize=chunk)
+        else:
+            results = map(_sweep_cell, args)
+        fh = None
+        if ckpt is not None and args:
+            fh = stack.enter_context(
+                ckpt.open("a", encoding="utf-8", newline="\n")
+            )
+        # each cell reaches the checkpoint as soon as it is decided, so an
+        # interrupted sweep resumes where it stopped
+        for cell in results:
+            computed.append(cell)
+            if fh is not None:
+                fh.write(_checkpoint_line(kind, m, cell))
+                fh.flush()
 
     cells = sorted(
         list(replayed.values()) + computed, key=lambda c: c["d"]

@@ -7,6 +7,9 @@ function is pure, so the module is safe to use from worker processes.
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +21,7 @@ __all__ = [
     "Rational",
     "is_probable_prime",
     "factorize",
+    "smooth_part",
     "ord_p",
     "perfect_square_root",
     "fraction_square_root",
@@ -123,6 +127,11 @@ def factorize(n: int) -> dict[int, int]:
     (a sieve, no primality test).  Larger |n| go through trial division by
     the small primes, Miller-Rabin and Pollard rho, so their factors are
     only as certain as `is_probable_prime` (deterministic below 3.3e24).
+    On that route are `QuadSurd.make` (the squarefree part of a surd),
+    `divisor_candidates` (the offset products) and, through
+    `is_probable_prime` itself, `newton --p`.  The coefficient screen hands
+    it only integers of at most 2n, and the rough cofactors of a witness
+    value whose display-only size sits near the bit cap.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -172,6 +181,53 @@ def factorize(n: int) -> dict[int, int]:
                 stack.append(d)
                 stack.append(m // d)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _primes_upto(bound: int) -> tuple[int, ...]:
+    """Every prime <= bound, ascending: a slice of the table's primes below
+    2^16, a sieve of Eratosthenes beyond.  Cached, since a walk asks for
+    the same bound at every step."""
+    if bound < _SMALL_PRIME_LIMIT:
+        return SMALL_PRIMES[: bisect.bisect_right(SMALL_PRIMES, bound)]
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in SMALL_PRIMES:
+        if p * p > bound:
+            break
+        sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return tuple(itertools.compress(range(bound + 1), sieve))
+
+
+def smooth_part(x: int, bound: int) -> tuple[dict[int, int], int]:
+    """Split x >= 1 into prime exponents and a rough cofactor, proven
+    without a primality test.
+
+    The map gives the exact exponent in x of every prime <= bound, and of
+    some larger primes: x < 2^16 is read off the least-factor table, as is
+    a leftover that trial division brings below 2^16, and a leftover with
+    no prime factor up to its square root is a prime.  The cofactor is 1,
+    or a number of at least 2^16 with no prime factor <= bound, left
+    unfactored.
+    """
+    if x < _SMALL_PRIME_LIMIT:
+        return factorize(x), 1
+    out: dict[int, int] = {}
+    for p in _primes_upto(bound):
+        if p * p > x:
+            out[x] = 1
+            return out, 1
+        if x % p == 0:
+            x //= p
+            e = 1
+            while x % p == 0:
+                x //= p
+                e += 1
+            out[p] = e
+            if x < _SMALL_PRIME_LIMIT:
+                out.update(factorize(x))
+                return out, 1
+    return out, x
 
 
 def ord_p(x: int | Fraction, p: int) -> int | float:

@@ -48,6 +48,7 @@ __all__ = [
     "theorem_tags",
     "resolve_theorem_tag",
     "verify_theorem",
+    "verdict_stage",
 ]
 
 
@@ -211,7 +212,9 @@ class DimClassification:
     branches: tuple[BranchOutcome, ...]
 
 
-def _verdict_status(verdict: StiffVerdict) -> str:
+def verdict_stage(verdict: StiffVerdict) -> str:
+    """The status word a candidate row or sweep cell reports for a
+    verdict: "exists", or the kind of its nonexistence witness."""
     if verdict.exists:
         return "exists"
     w = verdict.witness
@@ -249,7 +252,7 @@ def _decide_candidates(
             rows.append(CandidateOutcome(n, m, "unresolved"))
             unresolved.append(m)
             continue
-        status = _verdict_status(verdict)
+        status = verdict_stage(verdict)
         rows.append(CandidateOutcome(n, m, status))
         if verdict.exists:
             existing.append(m)

@@ -29,6 +29,7 @@ from .exact_core import (
     factorize,
     newton_polygon_from_valuations,
     rational_roots,
+    smooth_part,
 )
 from .gegenbauer import (
     SymmetricQuadrature,
@@ -191,13 +192,23 @@ class ScreenReport:
 
 
 _VALUE_BIT_CAP = 2048
+# `factorize` reads integers below this off its least-factor table
+_TABLE_LIMIT = 1 << 16
 
 
-def _expand(exps: dict[int, int], bit_cap: int) -> Optional[Fraction]:
-    """prod(q^e) as a Fraction, or None once an upper estimate of its bit
-    size exceeds bit_cap."""
+def _expand(
+    exps: dict[int, int], rough: list[int], bit_cap: int
+) -> Optional[Fraction]:
+    """prod(q^e) * prod(rough) as a Fraction, or None when its size, the
+    sum of |e| * bitlen(q) over its prime factorization, exceeds bit_cap.
+
+    A cofactor c adds between bitlen(c) and 2 bitlen(c) - 2 to that size
+    (each of its primes has at least two bits), so the cofactors are
+    factored only when those bounds straddle the cap.  The value is for
+    display, so the probable-prime route is acceptable there."""
+    low = sum(map(int.bit_length, rough))
     num = den = 1
-    bits = 0
+    bits = low
     for q, e in exps.items():
         if e > 0:
             num *= q**e
@@ -207,7 +218,12 @@ def _expand(exps: dict[int, int], bit_cap: int) -> Optional[Fraction]:
             bits -= e * q.bit_length()
         if bits > bit_cap:
             return None
-    return Fraction(num, den)
+    if bits + low > bit_cap:
+        for c in rough:
+            bits += sum(e * q.bit_length() for q, e in factorize(c).items())
+        if bits - low > bit_cap:
+            return None
+    return Fraction(num * math.prod(rough), den)
 
 
 def screen_coefficients(
@@ -218,22 +234,48 @@ def screen_coefficients(
     Newton screen can run without expanding any coefficient.
 
     Step r multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step).
-    The four factors are small, so each is factored on its own.  A new
-    denominator prime can only be a prime of the step's divisor, and an
-    earlier one would already have stopped the walk, so only the divisor's
-    primes are tested.  Odd degrees allow 3 in the denominator: u_r is
-    C(n, r) times the rising product over 3*5*...*(2r+1), whose ord_3 is at
-    most r, which is all the denominator 3^r of the roots can absorb."""
+    A new denominator prime can only be a prime of the step's divisor, at
+    most B = 2n-2+step, and an earlier one would already have stopped the
+    walk, so only the divisor's primes are tested, and exact exponents are
+    needed only for the primes up to B and the tracked ones.  n-r+1, r and
+    2r-2+step are at most B, so `factorize` reads them off its table (and
+    stays far inside its proven range beyond it), as it does shift+2r-2
+    below 2^16.  A larger shift+2r-2, of the size of dim, goes to
+    `smooth_part`, which splits off the primes up to B and leaves a rough
+    cofactor that is never factored; a tracked prime past B is divided out
+    of that cofactor for its exponent, so it needs no sieve up to it.
+    track_primes must be primes.
+    Odd degrees allow 3 in the denominator: u_r is C(n, r) times the
+    rising product over 3*5*...*(2r+1), whose ord_3 is at most r, which is
+    all the denominator 3^r of the roots can absorb."""
     p = stiff_params(m, dim)
     n, shift, step, odd = p.n, p.shift, p.denominator_step, p.odd
     three_allowed = 3 if odd else 0
     exps: dict[int, int] = {}
     get = exps.get
+    # exps is exact for every prime <= bound and every tracked prime, and
+    # no rough cofactor has one of them
+    bound = 2 * n - 2 + step
+    rough: list[int] = []
     tracks: dict[int, list[int]] = {q: [] for q in track_primes}
     for r in range(1, n + 1):
-        for x in (n - r + 1, shift + 2 * r - 2):
-            for q, e in factorize(x).items():
-                exps[q] = get(q, 0) + e
+        for q, e in factorize(n - r + 1).items():
+            exps[q] = get(q, 0) + e
+        x = shift + 2 * r - 2
+        if x < _TABLE_LIMIT:
+            part, c = factorize(x), 1
+        else:
+            part, c = smooth_part(x, bound)
+        for q, e in part.items():
+            exps[q] = get(q, 0) + e
+        if c > 1:
+            for q in track_primes:
+                if q > bound:
+                    while c % q == 0:
+                        c //= q
+                        exps[q] = get(q, 0) + 1
+            if c > 1:
+                rough.append(c)
         bad = 0
         for x in (r, 2 * r - 2 + step):
             for q, e in factorize(x).items():
@@ -246,7 +288,7 @@ def screen_coefficients(
                     index=r,
                     prime=bad,
                     valuation=exps[bad],
-                    value=_expand(exps, _VALUE_BIT_CAP),
+                    value=_expand(exps, rough, _VALUE_BIT_CAP),
                     detail=f"prime {bad} survives in the denominator of u_{r}",
                 ),
                 None,

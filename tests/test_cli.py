@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from mstiff import cli
 from mstiff.cli import _parse_int, main
 
 
@@ -372,6 +373,49 @@ def test_checkpoint_whole_unterminated_last_line_is_kept(tmp_path, capsys):
     lines = ck.read_text().splitlines()
     assert len(lines) == 9 and [json.loads(x)["cell"] for x in lines][-2:] \
         == [[6, 10], [6, 11]]
+
+
+def test_interrupted_sweep_keeps_every_decided_cell(
+    tmp_path, capsys, monkeypatch
+):
+    argv = ("classify", "--deg", "6", "--max-d", "15", "--format", "json")
+    _, fresh, _ = run(capsys, *argv)
+    ck = tmp_path / "sweep.jsonl"
+    decide = cli._sweep_cell
+    decided = []
+
+    def crash_after_five(args):
+        if len(decided) == 5:
+            raise RuntimeError("killed mid-sweep")
+        decided.append(args)
+        return decide(args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", crash_after_five)
+    with pytest.raises(RuntimeError):
+        main([*argv, "--checkpoint", str(ck)])
+    capsys.readouterr()
+    cells = [json.loads(x)["cell"] for x in ck.read_text().splitlines()]
+    assert cells == [[6, d] for d in range(3, 8)]
+
+    monkeypatch.undo()
+    code, resumed, _ = run(capsys, *argv, "--checkpoint", str(ck))
+    assert code == 0
+    assert resumed.splitlines()[:-1] == fresh.splitlines()[:-1]
+    summary = json.loads(resumed.splitlines()[-1])
+    assert (summary["cells_replayed"], summary["cells_examined"]) == (5, 8)
+    expected = json.loads(fresh.splitlines()[-1])
+    expected.update(cells_replayed=5, cells_examined=8)
+    assert summary == expected
+    assert len(ck.read_text().splitlines()) == 13
+
+    # the worker path writes the same records, one per decided cell
+    ck2 = tmp_path / "workers.jsonl"
+    code, parallel, _ = run(
+        capsys, *argv, "--workers", "2", "--checkpoint", str(ck2)
+    )
+    assert code == 0 and parallel == fresh
+    assert [json.loads(x)["cell"] for x in ck2.read_text().splitlines()] \
+        == [[6, d] for d in range(3, 16)]
 
 
 def test_checkpoint_wrong_sweep_rejected(tmp_path, capsys):

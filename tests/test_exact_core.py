@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mstiff.exact_core import (
     _no_root_mod_small_prime,
+    _primes_upto,
     NewtonPolygon,
     RatPoly,
     divisors_from_factors,
@@ -26,6 +27,7 @@ from mstiff.exact_core import (
     ord_p,
     rational_roots,
     refine_root,
+    smooth_part,
     sturm_chain,
 )
 from mstiff.stiffness import s_poly, stiff_exists, stiff_params
@@ -84,6 +86,58 @@ def test_factorize_negative_and_zero():
     assert factorize(-360) == {2: 3, 3: 2, 5: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize(
+    "bound", [0, 1, 2, 3, 100, 65535, 65536, 65537, 70001]
+)
+def test_primes_upto_matches_a_plain_sieve(bound):
+    # below 2^16 a slice of the table's primes, beyond it a sieve
+    flags = [True] * (bound + 1)
+    for i in range(2, bound + 1):
+        for j in range(i * i, bound + 1, i):
+            flags[j] = False
+    primes = tuple(i for i in range(2, bound + 1) if flags[i])
+    assert _primes_upto(bound) == primes
+
+
+def exponent(x: int, p: int) -> int:
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+@given(st.integers(1, 10**30), st.integers(0, 3000), st.integers(0, 3000))
+def test_smooth_part_splits_off_every_prime_up_to_the_bound(x, low, high):
+    low, high = sorted((low, high))
+    part, rough = smooth_part(x, low)
+    # the rough cofactor split again up to the higher bound completes the
+    # split up to that bound
+    more, rough2 = smooth_part(rough, high)
+    both = {**part, **more}
+    for exps, cof, bound in ((part, rough, low), (both, rough2, high)):
+        assert math.prod(q**e for q, e in exps.items()) * cof == x
+        for q in exps:
+            assert trial_division(q) == {q: 1}
+        for q in _primes_upto(bound):
+            assert exps.get(q, 0) == exponent(x, q)
+            assert cof % q
+        assert cof == 1 or cof >= 1 << 16
+    assert not set(part) & set(more)
+
+
+@pytest.mark.parametrize("x, bound, split", [
+    (1 << 16, 2, ({2: 16}, 1)),  # trial division brings it into the table
+    (257**2, 300, ({257: 2}, 1)),  # a square is not a prime
+    (65537, 300, ({65537: 1}, 1)),  # no prime up to its root: a prime
+    (65537, 0, ({}, 65537)),  # nothing to split off
+    (65537 * 65539, 1000, ({}, 65537 * 65539)),  # rough, left unfactored
+    (3 * 65537**2, 10**5, ({3: 1, 65537: 2}, 1)),  # primes past the table
+])
+def test_smooth_part_edges(x, bound, split):
+    assert smooth_part(x, bound) == split
 
 
 def test_is_probable_prime_small():

@@ -18,12 +18,12 @@ from mstiff.search import (
     _decide_candidates,
     _offset_cascade_rejects,
     _offset_products,
-    _verdict_status,
     classify_degree,
     classify_dimension,
     divisor_candidates,
     resolve_theorem_tag,
     theorem_tags,
+    verdict_stage,
     verify_theorem,
 )
 from mstiff.stiffness import (
@@ -130,7 +130,7 @@ def _rows_without_cascade(dim, odd_deg, ns):
     for n in ns:
         m = 2 * n + 1 if odd_deg else 2 * n
         try:
-            status = _verdict_status(stiff_exists(m, dim))
+            status = verdict_stage(stiff_exists(m, dim))
         except UndecidedError:
             status = "unresolved"
         rows.append((n, m, status))

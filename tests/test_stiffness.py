@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mstiff import exact_core
+from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.exact_core import factorize
 from mstiff.gegenbauer import closed_form_quadrature, moment
 from mstiff.stiffness import (
@@ -172,9 +174,9 @@ def product_walk_screen(m, dim, track_primes=(2, 3, 5)):
     return None, {q: tuple(v) for q, v in tracks.items()}
 
 
-def assert_screen_matches_product_walk(m, dim):
-    rep = screen_coefficients(m, dim)
-    witness, valuations = product_walk_screen(m, dim)
+def assert_screen_matches_product_walk(m, dim, track_primes=(2, 3, 5)):
+    rep = screen_coefficients(m, dim, track_primes)
+    witness, valuations = product_walk_screen(m, dim, track_primes)
     assert rep.valuations == valuations
     if witness is None:
         assert rep.witness is None
@@ -187,6 +189,101 @@ def assert_screen_matches_product_walk(m, dim):
 def test_screen_matches_product_walk(m, dim):
     # both degree parities, so the odd-degree 3-allowance is exercised
     assert_screen_matches_product_walk(m, dim)
+
+
+@given(st.integers(2, 40), st.integers(3, 10**25))
+def test_screen_matches_product_walk_for_large_dimensions(m, dim):
+    # step factors far past the 2^16 table, so the walk keeps rough
+    # cofactors
+    assert_screen_matches_product_walk(m, dim)
+
+
+FAR = 10**9 + 7
+
+
+@pytest.mark.parametrize("m, dim, far_exponents", [
+    (4, 10**7, (0, 0)),
+    (4, FAR * 65537 - 2, (1, 1)),  # FAR in a rough cofactor
+    (4, FAR * FAR - 2, (2, 2)),  # FAR squared is the whole cofactor
+    (6, FAR - 6, (0, 1, 1)),  # FAR itself at the second step
+    (9, 5 * FAR - 10, (0, 1, 1, 1)),  # 5 FAR at the second step
+])
+def test_screen_tracks_a_prime_far_past_its_bound(
+    m, dim, far_exponents, monkeypatch
+):
+    # the prime bound comes from the step divisors alone, so a tracked
+    # prime of 10^9 builds no sieve up to it; its exponent is counted by
+    # dividing it out of the rough cofactors
+    bounds = []
+    original = exact_core._primes_upto
+
+    def spy(bound):
+        bounds.append(bound)
+        # checked before the call, so a bound of FAR fails without its sieve
+        assert bound < 10
+        return original(bound)
+
+    monkeypatch.setattr(exact_core, "_primes_upto", spy)
+    track = (2, 7, FAR)
+    assert screen_coefficients(m, dim, track).valuations[FAR] == far_exponents
+    assert bounds
+    assert_screen_matches_product_walk(m, dim, track)
+
+
+@pytest.fixture
+def prime_calls(monkeypatch):
+    """Every call to the probable-prime route while a test runs."""
+    calls = []
+    for name in ("is_probable_prime", "_pollard_rho"):
+        original = getattr(exact_core, name)
+
+        def spy(n, name=name, original=original):
+            calls.append((name, n))
+            return original(n)
+
+        monkeypatch.setattr(exact_core, name, spy)
+    return calls
+
+
+# (m, dim, value left out, cofactors factored): witnesses u_r whose rough
+# cofactors put the value below, inside and above the band between the
+# 2048-bit cap's two bounds (known + rough bits, known + twice those)
+CAP_CELLS = [
+    (20, 10**25, False, False),  # u_6, below the band
+    (26, 10**25 + 57, False, True),  # u_13, in the band and under the cap
+    (42, 23347662034420077269540586, False, True),  # u_21, likewise
+    (42, 1000091666117608870918668806211, True, True),  # u_21, over the cap
+    (42, 1000052326906235806952858484336, True, False),  # u_21, above
+]
+
+
+@pytest.mark.parametrize("m, dim, left_out, factored", CAP_CELLS)
+def test_witness_value_on_each_side_of_the_cap(
+    m, dim, left_out, factored, prime_calls
+):
+    w = screen_coefficients(m, dim).witness
+    assert (w.value is None) == left_out
+    assert bool(prime_calls) == factored
+    assert_screen_matches_product_walk(m, dim)
+
+
+def test_screen_calls_no_probable_prime_code_on_the_streams(prime_calls):
+    # the degree-4 and degree-5 stream dimensions past 3.3e24, where the
+    # fixed-base Miller-Rabin test stops being proven, and their
+    # neighbours; their witness values are far below the cap's band
+    streams = {4: dims_for_degree4(10**27), 5: dims_for_degree5(10**27)}
+    cells = [
+        (m, d + k) for m, dims in streams.items() for d in dims
+        if d > 33 * 10**23 for k in range(-2, 3)
+    ]
+    assert len(cells) == 30
+    for m, dim in cells:
+        screen_coefficients(m, dim)
+        assert prime_calls == [], (m, dim)
+        stiff_exists(m, dim)
+        # only the Newton screen's check that 2, 3 and 5 are primes
+        assert {call[1] for call in prime_calls} <= {2, 3, 5}, (m, dim)
+        prime_calls.clear()
 
 
 def test_odd_degree_three_allowance_is_never_exceeded():
