@@ -16,6 +16,7 @@ from .diophantine import (
     dims_for_degree4,
     dims_for_degree5,
     fundamental_unit,
+    mordell_obstruction,
     pell_representatives,
 )
 from .gegenbauer import (
@@ -50,6 +51,7 @@ __all__ = [
     "dims_for_degree4",
     "dims_for_degree5",
     "fundamental_unit",
+    "mordell_obstruction",
     "pell_representatives",
     "QuadSurd",
     "SymmetricQuadrature",

@@ -528,30 +528,33 @@ def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] =
     lo = Fraction(-bound) if region is None else region[0]
     hi = Fraction(bound) if region is None else region[1]
     out: list[RootInterval] = []
-
-    def visit(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        count = va - vb  # roots in (a, b]
-        if count == 0:
-            return
-        if count == 1:
-            if _sign_at(f0, b.numerator, b.denominator) == 0:
-                out.append(RootInterval(b, b))
-                return
-            if _sign_at(f0, a.numerator, a.denominator) != 0:
-                out.append(RootInterval(a, b))
-                return
-            # a is itself a root (reported by the neighbouring call); shrink
-            # until the left endpoint clears it
-        mid = (a + b) / 2
-        vm = _chain_variations_at(chain, mid)
-        visit(a, mid, va, vm)
-        visit(mid, b, vm, vb)
-
     if _sign_at(f0, lo.numerator, lo.denominator) == 0:
         # V(a) - V(b) counts roots in the half-open (a, b], so the root at
         # the left boundary needs its own report
         out.append(RootInterval(lo, lo))
-    visit(lo, hi, _chain_variations_at(chain, lo), _chain_variations_at(chain, hi))
+    # bisection with an explicit stack: the depth is about log2 of the
+    # starting width over the closest root gap, which passes a thousand
+    # levels (the interpreter's recursion limit) once the root bound has a
+    # thousand bits, as for section polynomials with d of 30 digits
+    stack = [(lo, hi, _chain_variations_at(chain, lo), _chain_variations_at(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        count = va - vb  # roots in (a, b]
+        if count == 0:
+            continue
+        if count == 1:
+            if _sign_at(f0, b.numerator, b.denominator) == 0:
+                out.append(RootInterval(b, b))
+                continue
+            if _sign_at(f0, a.numerator, a.denominator) != 0:
+                out.append(RootInterval(a, b))
+                continue
+            # a is itself a root (reported from the neighbouring interval);
+            # shrink until the left endpoint clears it
+        mid = (a + b) / 2
+        vm = _chain_variations_at(chain, mid)
+        stack.append((mid, b, vm, vb))
+        stack.append((a, mid, va, vm))
     return sorted(out, key=lambda iv: (iv.lo, iv.hi))
 
 

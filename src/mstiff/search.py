@@ -384,7 +384,11 @@ def classify_degree(
     the report combines a direct scan of dimensions up to scan_cap with
     candidates derived from the cubic point family a y^2 = 2 + b x^3 for
     |x| <= cubic_x_bound, and is flagged incomplete: dimensions beyond
-    those windows are unexplored, not refuted.
+    those windows are unexplored, not refuted.  The points come from
+    `mordell_point_stream`, which examines only the x that congruences
+    modulo small prime powers and the primes up to 67 allow; every integer
+    point satisfies them, so the sieve drops no point the window holds
+    (Gebel, Petho and Zimmer, Compositio Math. 110 (1998)).
     """
     if m < 1:
         raise ValueError("degree must be >= 1")

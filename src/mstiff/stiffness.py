@@ -237,14 +237,14 @@ def screen_coefficients(
     A new denominator prime can only be a prime of the step's divisor, at
     most B = 2n-2+step, and an earlier one would already have stopped the
     walk, so only the divisor's primes are tested, and exact exponents are
-    needed only for the primes up to B and the tracked ones.  n-r+1, r and
-    2r-2+step are at most B, so `factorize` reads them off its table (and
-    stays far inside its proven range beyond it), as it does shift+2r-2
-    below 2^16.  A larger shift+2r-2, of the size of dim, goes to
-    `smooth_part`, which splits off the primes up to B and leaves a rough
-    cofactor that is never factored; a tracked prime past B is divided out
-    of that cofactor for its exponent, so it needs no sieve up to it.
-    track_primes must be primes.
+    needed only for the primes up to B.  n-r+1, r and 2r-2+step are at
+    most B, so `factorize` reads them off its table (and stays far inside
+    its proven range beyond it), as it does shift+2r-2 below 2^16.  A
+    larger shift+2r-2, of the size of dim, goes to `smooth_part`, which
+    splits off the primes up to B and leaves a rough cofactor that is never
+    factored.  The tracked valuations are counted from the four step
+    factors after a walk ends without a witness, so a tracked prime past B
+    needs no sieve up to it.  track_primes must be primes.
     Odd degrees allow 3 in the denominator: u_r is C(n, r) times the
     rising product over 3*5*...*(2r+1), whose ord_3 is at most r, which is
     all the denominator 3^r of the roots can absorb."""
@@ -253,11 +253,9 @@ def screen_coefficients(
     three_allowed = 3 if odd else 0
     exps: dict[int, int] = {}
     get = exps.get
-    # exps is exact for every prime <= bound and every tracked prime, and
-    # no rough cofactor has one of them
+    # exps is exact for every prime <= bound, and no rough cofactor has one
     bound = 2 * n - 2 + step
     rough: list[int] = []
-    tracks: dict[int, list[int]] = {q: [] for q in track_primes}
     for r in range(1, n + 1):
         for q, e in factorize(n - r + 1).items():
             exps[q] = get(q, 0) + e
@@ -269,13 +267,7 @@ def screen_coefficients(
         for q, e in part.items():
             exps[q] = get(q, 0) + e
         if c > 1:
-            for q in track_primes:
-                if q > bound:
-                    while c % q == 0:
-                        c //= q
-                        exps[q] = get(q, 0) + 1
-            if c > 1:
-                rough.append(c)
+            rough.append(c)
         bad = 0
         for x in (r, 2 * r - 2 + step):
             for q, e in factorize(x).items():
@@ -293,9 +285,17 @@ def screen_coefficients(
                 ),
                 None,
             )
-        for q in track_primes:
-            tracks[q].append(get(q, 0))
-    return ScreenReport(None, {q: tuple(v) for q, v in tracks.items()})
+    # only a walk without a witness returns the tracked valuations, so they
+    # are summed here, from the step factors themselves
+    valuations = {}
+    for q in track_primes:
+        v, vals = 0, []
+        for r in range(1, n + 1):
+            v += (_ord(n - r + 1, q) + _ord(shift + 2 * r - 2, q)
+                  - _ord(r, q) - _ord(2 * r - 2 + step, q))
+            vals.append(v)
+        valuations[q] = tuple(vals)
+    return ScreenReport(None, valuations)
 
 
 def _closed_top_parts(
@@ -320,6 +320,16 @@ def _closed_top_parts(
 
 def _ord2(x: int) -> int:
     return (x & -x).bit_length() - 1
+
+
+def _ord(x: int, q: int) -> int:
+    """ord_q(x) for a prime q and x != 0.  Unlike `exact_core.ord_p`, it
+    does not test q for primality on every call."""
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
 
 
 def _strip6(x: int) -> tuple[int, int]:

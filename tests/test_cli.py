@@ -71,6 +71,23 @@ def test_exists_degree_one(capsys):
     assert payload["lambdas"] == ["1"]
 
 
+@pytest.mark.parametrize("m, d", [
+    (26, "167571565284788680886349265747"),
+    (30, "574476606496815820847242648679"),
+])
+def test_exists_cells_with_deep_root_isolation(capsys, m, d):
+    # their section polynomials need more than a thousand bisection levels
+    # to isolate the roots; a recursive bisection ended in RecursionError
+    code, out, _ = run(
+        capsys, "exists", "--m", str(m), "--d", d, "--format", "json"
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "not_exists"
+    assert payload["witness"]["type"] == "root"
+    assert payload["witness"]["kind"] == "isolated-interval"
+
+
 def test_exists_circle(capsys):
     code, out, _ = run(capsys, "exists", "--m", "6", "--d", "2")
     assert code == 0

@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mstiff import diophantine
 from mstiff.diophantine import (
     MordellPoint,
     PellSolution,
@@ -12,7 +15,9 @@ from mstiff.diophantine import (
     dims_for_degree4,
     dims_for_degree5,
     fundamental_unit,
+    _smooth_split,
     mordell_ab_grid,
+    mordell_obstruction,
     mordell_point_stream,
     pell_representatives,
 )
@@ -21,6 +26,18 @@ from mstiff.stiffness import stiff_exists
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def scan_mordell_points(b: int, x_bound: int):
+    """Slow twin of mordell_point_stream: the same check on every x."""
+    for x in range(-1, x_bound + 1):
+        t = 2 + b * x * x * x
+        if t <= 0:
+            continue
+        a, root, rest = _smooth_split(t)
+        r = math.isqrt(rest)
+        if r * r == rest:
+            yield MordellPoint(a, b, x, root * r)
+
 
 def brute_fundamental_unit(d: int, y_cap: int = 100_000) -> UnitElement:
     """Smallest y >= 1 with d*y^2 -+ 1 a perfect square."""
@@ -241,3 +258,80 @@ def test_search_respects_bound():
     pts = bounded_mordell_search(1, 2, 30)
     assert MordellPoint(1, 2, 23, 156) in pts
     assert MordellPoint(1, 2, 23, 156) not in bounded_mordell_search(1, 2, 22)
+
+
+A_VALS, B_VALS = mordell_ab_grid()
+
+
+@pytest.mark.parametrize("b", B_VALS)
+@settings(max_examples=4)
+@given(st.integers(-3, 2 * 10**4))
+@example(2 * 10**4)
+def test_sieved_stream_matches_scan(b, x_bound):
+    expected = list(scan_mordell_points(b, x_bound))
+    assert list(mordell_point_stream(b, x_bound)) == expected
+    for a in A_VALS:
+        assert bounded_mordell_search(a, b, x_bound) == [
+            pt for pt in expected if pt.a == a
+        ]
+
+
+@pytest.mark.parametrize("window", [1, 37, 64, 1000])
+def test_sieve_windows_join_up(monkeypatch, window):
+    # windows narrower than a modulus and not dividing the range; each
+    # b here has points at x = 1 or 2, and b = 2 and 12 far past them
+    monkeypatch.setattr(diophantine, "_WINDOW", window)
+    for b in (1, 2, 6, 12, 98, 2450):
+        for x_bound in (-1, 0, window - 2, window - 1, 3 * window + 5, 2000):
+            assert list(mordell_point_stream(b, x_bound)) == list(
+                scan_mordell_points(b, x_bound)
+            ), (b, x_bound)
+
+
+def test_obstructions_hold_by_brute_force():
+    # the modulus returned admits no (x, y) at all, and every modulus
+    # tried before it (all of them, for a live pair) admits one
+    moduli = (8, 16, 9, 27, 5, 25, 7, 49)
+    for a in A_VALS:
+        for b in B_VALS:
+            mod = mordell_obstruction(a, b)
+            tried = moduli if mod is None else moduli[: moduli.index(mod)]
+            for m in tried:
+                assert any(
+                    (a * y * y - 2 - b * x**3) % m == 0
+                    for x in range(m) for y in range(m)
+                ), (a, b, m)
+            if mod is not None:
+                assert all(
+                    (a * y * y - 2 - b * x**3) % mod != 0
+                    for x in range(mod) for y in range(mod)
+                ), (a, b, mod)
+
+
+def test_live_pairs_cover_every_b():
+    live = {b: [a for a in A_VALS if mordell_obstruction(a, b) is None]
+            for b in B_VALS}
+    assert sum(map(len, live.values())) == 121
+    assert all(live.values())
+    counts = {}
+    for a in A_VALS:
+        for b in B_VALS:
+            mod = mordell_obstruction(a, b)
+            counts[mod] = counts.get(mod, 0) + 1
+    assert counts == {9: 501, 8: 324, 5: 196, 7: 100, 16: 54, None: 121}
+    # an obstructed pair has no point in any window
+    assert mordell_obstruction(1, 1) is None
+    assert bounded_mordell_search(1, 1, 5)
+    a, b = next((a, b) for a in A_VALS for b in B_VALS
+                if mordell_obstruction(a, b) is not None)
+    assert bounded_mordell_search(a, b, 10**4) == []
+
+
+def test_point_count_to_a_million():
+    # the acceptance bound: the same 137 points as a scan of every x
+    # (about two minutes, so compared once, when the sieve replaced it);
+    # none lies past x = 314
+    points = [pt for b in B_VALS for pt in mordell_point_stream(b, 10**6)]
+    assert len(points) == 137
+    assert points == [pt for b in B_VALS
+                      for pt in scan_mordell_points(b, 400)]

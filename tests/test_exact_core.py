@@ -233,6 +233,28 @@ def test_isolation_dense_integer_roots():
                 assert not (iv.lo < other < iv.hi)
 
 
+def test_isolation_does_not_depend_on_the_recursion_limit():
+    # roots 2^-200 apart sit about 200 bisection levels down; with only 40
+    # frames to spare, a recursive bisection would stop with RecursionError
+    gap = Fraction(1, 2**200)
+    p = poly_from_roots([1, 1 + gap, -3])
+    expected = isolate_real_roots(p)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        lowered = isolate_real_roots(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lowered == expected
+    assert len(expected) == 3
+    for iv, root in zip(expected, [-3, 1, 1 + gap]):
+        assert iv.lo <= root <= iv.hi
+    assert expected[1].hi < 1 + gap
+
+
 def test_refine_sqrt2():
     p = RatPoly.from_coeffs([-2, 0, 1])
     (iv_neg, iv_pos) = isolate_real_roots(p)
