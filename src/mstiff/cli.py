@@ -90,8 +90,10 @@ class RunConfig:
     precision: int
 
     def validate(self) -> None:
-        if self.precision < 20:
-            raise UsageError("--precision must be at least 20")
+        if not 20 <= self.precision <= _MAX_EXPONENT:
+            raise UsageError(
+                f"--precision must be between 20 and {_MAX_EXPONENT}"
+            )
         if self.worker_count < 1:
             raise UsageError("--workers must be at least 1")
         if self.budget is not None and self.budget < 1:
@@ -911,7 +913,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# 1eN is expanded exactly into an N-digit integer; larger N is refused
+# 1eN is expanded exactly into an N-digit integer; larger N is refused,
+# and so is a --precision of more digits
 _MAX_EXPONENT = 10_000
 
 
@@ -1065,6 +1068,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # exact results can outgrow Python's 4,300-digit int-to-str limit;
+    # builds before 3.10.7 have no limit and no setter
+    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,9 +1,10 @@
 """Exact arithmetic foundations.
 
-Integer factorization, dense univariate polynomials over the rationals,
-Sturm-based real root isolation with interval refinement, rational root
-certification, and Newton polygons.  No floating point anywhere; every
-function is pure, so the module is safe to use from worker processes.
+Integer factorization; dense polynomials over the rationals for the
+Gegenbauer recurrences; a root layer on ascending integer coefficient
+lists (Sturm isolation, interval refinement, rational root certification);
+Newton polygons.  No floating point anywhere; every function is pure, so
+the module is safe to use from worker processes.
 """
 from __future__ import annotations
 
@@ -15,10 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "is_probable_prime",
     "factorize",
     "smooth_part",
@@ -31,11 +29,11 @@ __all__ = [
     "RootWitness",
     "RootReport",
     "sturm_chain",
+    "squarefree_part",
     "isolate_real_roots",
     "refine_root",
     "rational_roots",
     "NewtonPolygon",
-    "newton_polygon",
     "newton_polygon_from_valuations",
 ]
 
@@ -320,15 +318,6 @@ class RatPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -367,60 +356,49 @@ class RatPoly:
             return RatPoly(())
         return RatPoly(tuple(c * k for c in self.coeffs))
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly(
-            _trim(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
-        )
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly(()), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
-            if c:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return RatPoly(_trim(tuple(quot))), RatPoly(_trim(tuple(rem)))
-
-    def gcd(self, other: "RatPoly") -> "RatPoly":
-        a, b = self, other
-        while b.coeffs:
-            a, b = b, a.divmod(b)[1]
-        if a.coeffs:
-            a = a.scale(1 / a.leading)
-        return a
-
-    def squarefree_part(self) -> "RatPoly":
-        if self.degree <= 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divmod(g)[0]
-
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and root isolation
+# integer polynomials: Sturm sequences and root isolation
+#
+# The root layer works on ascending lists of integer coefficients with a
+# nonzero leading entry.  Every rescaling below is by a positive integer,
+# so signs, and with them Sturm sign variations, survive.
 
-def _primitive_int(coeffs: Sequence[Fraction]) -> list[int]:
-    # positive scaling only, so sign data survives
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def _primitive(f: Sequence[int]) -> list[int]:
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else list(f)
+
+
+def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
+    """f / g when g divides f in Z[x], else None."""
+    rem = list(f)
+    n = len(g) - 1
+    quot = [0] * (len(f) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + n], g[-1])
+        if r:
+            return None
+        quot[k] = c
+        if c:
+            for j in range(n):
+                rem[k + j] -= c * g[j]
+    return None if any(rem[:n]) else quot
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b, trimmed:
+    the rational remainder scaled by a positive integer."""
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    rem = list(a)
+    n = len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = sign * rem.pop()
+        rem = [lead * x for x in rem]
+        for j in range(n):
+            rem[k + j] -= c * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def _sign_at(coeffs: Sequence[int], num: int, den: int = 1) -> int:
@@ -434,42 +412,34 @@ def _sign_at(coeffs: Sequence[int], num: int, den: int = 1) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _int_poly_derivative(coeffs: Sequence[int]) -> list[int]:
-    return [coeffs[i] * i for i in range(1, len(coeffs))]
+def sturm_chain(f: Sequence[int]) -> list[list[int]]:
+    """Sturm sequence of the integer polynomial f as primitive integer
+    polynomials; the last member is gcd(f, f') up to a constant.
 
-
-def _frac_rem(a: Sequence[int], b: Sequence[int]) -> list[Fraction]:
-    rem = [Fraction(c) for c in a]
-    lead = Fraction(b[-1])
-    while len(rem) >= len(b):
-        c = rem[-1] / lead
-        if c:
-            off = len(rem) - len(b)
-            for j in range(len(b)):
-                rem[off + j] -= c * b[j]
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) >= len(b):
-            rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
-def sturm_chain(p: RatPoly) -> list[list[int]]:
-    """Sturm sequence of p as primitive integer polynomials.
-
-    Positive rescaling at every step preserves all sign variations.
+    Each member after f' is minus the pseudo-remainder of the two before,
+    made primitive, which is the rational remainder scaled positively.
     """
-    f0 = _primitive_int(p.coeffs)
+    f0 = _primitive(f)
     if len(f0) <= 1:
-        return [f0] if f0 else [[0]]
-    chain = [f0, _primitive_int([Fraction(c) for c in _int_poly_derivative(f0)])]
+        return [f0]
+    chain = [f0, _primitive([f0[i] * i for i in range(1, len(f0))])]
     while len(chain[-1]) > 1:
-        rem = _frac_rem(chain[-2], chain[-1])
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(_primitive_int([-c for c in rem]))
+        chain.append(_primitive([-c for c in rem]))
     return chain
+
+
+def squarefree_part(f: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') as a primitive integer polynomial whose leading
+    coefficient has the sign of f's."""
+    chain = sturm_chain(f)
+    g = chain[-1]
+    if len(g) <= 1:
+        return chain[0]
+    # g is primitive, so by Gauss's lemma it divides f in Z[x]
+    return _exact_quotient(chain[0], g if g[-1] > 0 else [-c for c in g])
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -504,9 +474,6 @@ class RootInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def _root_bound(coeffs: Sequence[int]) -> int:
     lead = abs(coeffs[-1])
@@ -514,19 +481,19 @@ def _root_bound(coeffs: Sequence[int]) -> int:
     return 1 + (m + lead - 1) // lead
 
 
-def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] = None) -> list[RootInterval]:
-    """Disjoint isolating intervals for the distinct real roots of p.
+def isolate_real_roots(f: Sequence[int]) -> list[RootInterval]:
+    """Disjoint isolating intervals for the distinct real roots of the
+    integer polynomial f.
 
-    p must be squarefree (callers take the squarefree part first).  Output is
-    sorted ascending and exhaustive over the region (default: all reals).
+    f must be squarefree (callers take `squarefree_part` first).  Output
+    is sorted ascending and exhaustive over the reals.
     """
-    if p.degree <= 0:
+    if len(f) <= 1:
         return []
-    chain = sturm_chain(p)
+    chain = sturm_chain(f)
     f0 = chain[0]
     bound = _root_bound(f0)
-    lo = Fraction(-bound) if region is None else region[0]
-    hi = Fraction(bound) if region is None else region[1]
+    lo, hi = Fraction(-bound), Fraction(bound)
     out: list[RootInterval] = []
     if _sign_at(f0, lo.numerator, lo.denominator) == 0:
         # V(a) - V(b) counts roots in the half-open (a, b], so the root at
@@ -558,16 +525,12 @@ def isolate_real_roots(p: RatPoly, region: Optional[tuple[Fraction, Fraction]] =
     return sorted(out, key=lambda iv: (iv.lo, iv.hi))
 
 
-def refine_root(p: RatPoly, interval: RootInterval, max_width: Fraction) -> RootInterval:
-    """Bisect an isolating interval until its width is <= max_width."""
-    return _refine(_primitive_int(p.coeffs), interval, max_width)
-
-
-def _refine(f: Sequence[int], interval: RootInterval, max_width: Fraction) -> RootInterval:
-    # refine_root on the primitive integer polynomial f, bisecting the
-    # numerators a/den < b/den so that no step builds a Fraction
+def refine_root(f: Sequence[int], interval: RootInterval, max_width: Fraction) -> RootInterval:
+    """Bisect an isolating interval of the integer polynomial f until its
+    width is <= max_width."""
     if interval.exact:
         return interval
+    # bisect the numerators a/den < b/den so that no step builds a Fraction
     lo, hi = interval.lo, interval.hi
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -656,7 +619,7 @@ def _settle(f: Sequence[int], iv: RootInterval) -> tuple[Optional[int], RootInte
         # the only integer left once the bracket is narrow enough
         if first == last and _sign_at(f, first) == 0:
             return first, iv
-        iv = _refine(f, iv, iv.width() / 4)
+        iv = refine_root(f, iv, iv.width() / 4)
     if iv.lo.denominator != 1:
         raise AssertionError(f"exact root {iv.lo} is not an integer")
     return int(iv.lo), iv
@@ -676,7 +639,7 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
     allowed = frozenset(allowed_denominators)
     if allowed not in (frozenset({1}), frozenset({1, 3})):
         raise ValueError("allowed_denominators must be {1} or {1,3}")
-    if not p.is_monic():
+    if not p.coeffs or p.coeffs[-1] != 1:
         raise ValueError("p must be monic")
     q = max(allowed)
 
@@ -706,31 +669,14 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
     roots.extend([Fraction(0)] * k0)
     work = T[k0:]
 
-    def strip_root(poly: list[int], r: int) -> list[int]:
-        # exact synthetic division of the integer polynomial by (y - r),
-        # repeated while r stays a root
-        while True:
-            acc = 0
-            for c in reversed(poly):
-                acc = acc * r + c
-            if acc != 0:
-                return poly
-            new = [0] * (len(poly) - 1)
-            carry = 0
-            for i in range(len(poly) - 1, 0, -1):
-                carry = carry * r + poly[i]
-                new[i - 1] = carry
-            poly = new
-            roots.append(Fraction(r, q))
-
     # the first pass finds every integer root, so once they are stripped the
     # second pass's first interval holds none; when the first interval holds
     # no integer and the sieve proves there is no integer root at all, the
     # other intervals need no settling
     stripped = False
     while len(work) > 1:
-        sf = RatPoly.from_coeffs(work).squarefree_part()
-        intervals = isolate_real_roots(sf)
+        f = squarefree_part(work)
+        intervals = isolate_real_roots(f)
         if not intervals:
             return RootReport(
                 False,
@@ -741,7 +687,6 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
                     "real roots",
                 ),
             )
-        f = _primitive_int(sf.coeffs)
         root, first_iv = _settle(f, intervals[0])
         found = [] if root is None else [root]
         if root is not None or not (
@@ -763,7 +708,10 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
                 ),
             )
         for r in found:
-            work = strip_root(work, r)
+            # divide out y - r while it still divides
+            while (rest := _exact_quotient(work, [-r, 1])) is not None:
+                work = rest
+                roots.append(Fraction(r, q))
         stripped = True
 
     report_roots = tuple(sorted(roots))
@@ -839,18 +787,3 @@ def newton_polygon_from_valuations(
             continue  # leading-coefficient edge carries no root information
         slopes.append(Fraction(y2 - y1, x2 - x1))
     return NewtonPolygon(p, tuple(pts), tuple(hull), tuple(slopes))
-
-
-def newton_polygon(coeffs_ascending: Sequence[int], p: int) -> NewtonPolygon:
-    """Newton polygon of an integer polynomial at the prime p.
-
-    If every root of the polynomial is an integer then every slope is an
-    integer, so a fractional slope certifies a non-integral root.
-    """
-    cs = list(coeffs_ascending)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial")
-    vals = [None if c == 0 else int(ord_p(c, p)) for c in cs]
-    return newton_polygon_from_valuations(vals, p)

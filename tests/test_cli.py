@@ -5,6 +5,7 @@ case checks the installed entry point end to end.  Exit codes under test:
 0 exists / success, 3 not-exists / failed verification, 2 usage, 4 state.
 """
 import json
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 
 from mstiff import cli
 from mstiff.cli import _parse_int, main
+from mstiff.stiffness import n_upper_bound
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -124,6 +126,13 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "exists", "--m", "4", "--d", "1")[0] == 2
     assert run(capsys, "exists", "--m", "4", "--d", "23",
                "--precision", "10")[0] == 2
+    assert run(capsys, "exists", "--m", "4", "--d", "23",
+               "--precision", "10001")[0] == 2
+    assert run(capsys, "exists", "--m", "4", "--d", "23",
+               "--precision", "1e9")[0] == 2
+    # more digits than the interpreter's default int-to-str limit
+    assert run(capsys, "exists", "--m", "4", "--d", "23",
+               "--precision", "5000")[0] == 0
     assert run(capsys, "classify")[0] == 2
     assert run(capsys, "classify", "--dim", "5", "--deg", "4")[0] == 2
     assert run(capsys, "pell", "--D", "4", "--M", "9")[0] == 2
@@ -574,6 +583,21 @@ def test_bounds_json(capsys):
     by_parity = {b["parity"]: b for b in payload["bounds"]}
     assert by_parity["even"]["threshold"] == 6
     assert by_parity["odd"]["threshold"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_threshold_past_the_int_str_limit(capsys, fmt):
+    # the even-degree threshold of d = 10000 has more than 4,300 digits,
+    # the interpreter's default limit for int-to-str conversion
+    code, out, _ = run(capsys, "bounds", "--d", "10000", "--format", fmt)
+    assert code == 0
+    expected = n_upper_bound(10000, False).threshold
+    assert expected > 10**4300
+    if fmt == "json":
+        by_parity = {b["parity"]: b for b in json.loads(out)["bounds"]}
+        assert by_parity["even"]["threshold"] == expected
+    else:
+        assert int(re.search(r"n >= (\d+)", out).group(1)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from mstiff.exact_core import (
     factorize,
     is_probable_prime,
     isolate_real_roots,
-    newton_polygon,
+    newton_polygon_from_valuations,
     ord_p,
     rational_roots,
     refine_root,
     smooth_part,
+    squarefree_part,
     sturm_chain,
 )
 from mstiff.stiffness import s_poly, stiff_exists, stiff_params
@@ -162,6 +163,124 @@ def test_ord_p():
         ord_p(10, 4)
 
 
+# --- slow twin of the integer root layer ---------------------------------
+# The Fraction Euclid that the root layer ran on before it moved to integer
+# pseudo-remainders and exact division, kept as the reference it must match.
+
+def _ftrim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def twin_derivative(f):
+    return _ftrim(f[i] * i for i in range(1, len(f)))
+
+
+def twin_divmod(a, b):
+    rem = [Fraction(c) for c in a]
+    dq = len(a) - len(b)
+    if dq < 0:
+        return (), _ftrim(rem)
+    quot = [Fraction(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        if c:
+            quot[i] = c
+            for j, x in enumerate(b):
+                rem[i + j] -= c * x
+    return _ftrim(quot), _ftrim(rem)
+
+
+def twin_gcd(a, b):
+    a, b = _ftrim(a), _ftrim(b)
+    while b:
+        a, b = b, twin_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def twin_squarefree_part(f):
+    f = _ftrim(f)
+    if len(f) <= 2:
+        return f
+    g = twin_gcd(f, twin_derivative(f))
+    return f if len(g) <= 1 else twin_divmod(f, g)[0]
+
+
+def twin_primitive(coeffs):
+    # positive scaling only, so sign data survives
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def twin_frac_rem(a, b):
+    rem = [Fraction(c) for c in a]
+    lead = Fraction(b[-1])
+    while len(rem) >= len(b):
+        c = rem[-1] / lead
+        if c:
+            off = len(rem) - len(b)
+            for j in range(len(b)):
+                rem[off + j] -= c * b[j]
+        rem.pop()
+        while rem and rem[-1] == 0 and len(rem) >= len(b):
+            rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def twin_sturm_chain(f):
+    f0 = twin_primitive(f)
+    if len(f0) <= 1:
+        return [f0]
+    chain = [f0, twin_primitive(twin_derivative(f0))]
+    while len(chain[-1]) > 1:
+        rem = twin_frac_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(twin_primitive([-c for c in rem]))
+    return chain
+
+
+def twin_isolate(f):
+    """Isolating intervals of the squarefree f: recursive bisection of
+    [-B, B] with B = 1 + ceil(max |f_i| / |lc|), counting Sturm sign
+    variations by Fraction evaluation."""
+    if len(f) <= 1:
+        return []
+    chain = twin_sturm_chain(f)
+
+    def value(g, x):
+        return sum(c * x**i for i, c in enumerate(g))
+
+    def variations(x):
+        signs = [v > 0 for v in (value(g, x) for g in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + math.ceil(max(abs(Fraction(c)) for c in f[:-1]) / abs(f[-1]))
+    lo, hi = Fraction(-bound), Fraction(bound)
+    out = [(lo, lo)] if value(f, lo) == 0 else []
+
+    def visit(a, b):
+        count = variations(a) - variations(b)  # roots in (a, b]
+        if count == 1 and value(f, b) == 0:
+            out.append((b, b))
+        elif count == 1 and value(f, a) != 0:
+            out.append((a, b))
+        elif count:
+            mid = (a + b) / 2
+            visit(a, mid)
+            visit(mid, b)
+
+    visit(lo, hi)
+    return sorted(out)
+
+
 # --- polynomials ---------------------------------------------------------
 
 def test_ratpoly_arith_and_eval():
@@ -170,26 +289,37 @@ def test_ratpoly_arith_and_eval():
     q = RatPoly.from_coeffs([-1, 1])
     prod = p * q
     assert prod(2) == 0 and prod(1) == 0
-    quot, rem = prod.divmod(q)
-    assert rem.coeffs == () and quot.coeffs == p.coeffs
-    assert p.derivative().coeffs == (Fraction(-5), Fraction(2))
+    quot, rem = twin_divmod(prod.coeffs, q.coeffs)
+    assert rem == () and quot == p.coeffs
+    assert twin_derivative(p.coeffs) == (Fraction(-5), Fraction(2))
 
 
 def test_ratpoly_gcd_squarefree():
     x = RatPoly.x()
     one = RatPoly.one()
     p = (x - one.scale(2)) * (x - one.scale(2)) * (x + one)
-    sf = p.squarefree_part()
+    sf = RatPoly(twin_squarefree_part(p.coeffs))
     assert sf.degree == 2
     assert sf(2) == 0 and sf(-1) == 0
+    assert squarefree_part([int(c) for c in p.coeffs]) == [-2, -1, 1]
+    assert squarefree_part([-3 * int(c) for c in p.coeffs]) == [2, 1, -1]
 
 
 # --- Sturm isolation -----------------------------------------------------
 
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def poly_from_roots(roots):
-    p = RatPoly.one()
+    """Ascending integer coefficients of the product of (x - r)."""
+    p = [1]
     for r in roots:
-        p = p * RatPoly.from_coeffs([-Fraction(r), 1])
+        p = poly_mul(p, [-r, 1])
     return p
 
 
@@ -197,7 +327,7 @@ def test_sturm_chain_sign_preserved():
     # scaled polynomial must give the same chain signs as the original
     p = poly_from_roots([1, 3, -2])
     chain = sturm_chain(p)
-    chain2 = sturm_chain(p.scale(Fraction(7, 5)))
+    chain2 = sturm_chain([7 * c for c in p])
     assert chain == chain2
 
 
@@ -237,7 +367,8 @@ def test_isolation_does_not_depend_on_the_recursion_limit():
     # roots 2^-200 apart sit about 200 bisection levels down; with only 40
     # frames to spare, a recursive bisection would stop with RecursionError
     gap = Fraction(1, 2**200)
-    p = poly_from_roots([1, 1 + gap, -3])
+    # (x - 1)(x + 3)(2^200 x - (2^200 + 1)), denominators cleared
+    p = poly_mul(poly_from_roots([1, -3]), [-(2**200 + 1), 2**200])
     expected = isolate_real_roots(p)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -256,7 +387,7 @@ def test_isolation_does_not_depend_on_the_recursion_limit():
 
 
 def test_refine_sqrt2():
-    p = RatPoly.from_coeffs([-2, 0, 1])
+    p = [-2, 0, 1]
     (iv_neg, iv_pos) = isolate_real_roots(p)
     r = refine_root(p, iv_pos, Fraction(1, 10**30))
     assert r.lo**2 < 2 < r.hi**2
@@ -270,8 +401,8 @@ def test_refine_root_rejects_interval_without_sign_change_under_optimize_flag():
     # return a narrow interval that holds none either
     script = (
         "from fractions import Fraction\n"
-        "from mstiff.exact_core import RatPoly, RootInterval, refine_root\n"
-        "p = RatPoly.from_coeffs([-2, 0, 1])\n"
+        "from mstiff.exact_core import RootInterval, refine_root\n"
+        "p = [-2, 0, 1]\n"
         "try:\n"
         "    print(refine_root(p, RootInterval(Fraction(2), Fraction(3)),"
         " Fraction(1, 100)))\n"
@@ -294,6 +425,29 @@ def test_random_planted_roots_isolated():
         assert len(ivs) == len(roots)
         for iv, root in zip(ivs, roots):
             assert iv.lo <= root <= iv.hi
+
+
+squared = st.tuples(
+    st.lists(st.integers(-12, 12), max_size=4),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.lists(st.integers(-9, 9), max_size=3),
+    st.sampled_from((1, -1, 2, -6)),
+)
+
+
+@given(squared)
+def test_integer_root_layer_matches_fraction_twin(case):
+    # planted integer roots (repeats allowed) times a random monic factor
+    # times the square of another, scaled by a content of either sign
+    roots, factor, base, scale = case
+    f = poly_mul(poly_from_roots(roots), factor + [1])
+    f = [scale * c for c in poly_mul(f, poly_mul(base + [1], base + [1]))]
+    assert sturm_chain(f) == twin_sturm_chain(f)
+    sf = squarefree_part(f)
+    twin_sf = twin_squarefree_part(f)
+    assert sf == twin_primitive(twin_sf)
+    ivs = isolate_real_roots(sf)
+    assert [(iv.lo, iv.hi) for iv in ivs] == twin_isolate(twin_sf)
 
 
 # --- rational root certification ----------------------------------------
@@ -341,7 +495,7 @@ def test_rational_roots_quadratic_no():
 
 
 def test_rational_roots_multiplicity():
-    p = poly_from_roots([4, 4, 4, -1])
+    p = RatPoly.from_coeffs(poly_from_roots([4, 4, 4, -1]))
     rep = rational_roots(p)
     assert rep.all_rational
     assert rep.roots == (Fraction(-1), Fraction(4), Fraction(4), Fraction(4))
@@ -405,7 +559,7 @@ def test_rational_roots_random_planted():
     rng = random.Random(77)
     for _ in range(15):
         roots = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
-        p = poly_from_roots(roots)
+        p = RatPoly.from_coeffs(poly_from_roots(roots))
         rep = rational_roots(p)
         assert rep.all_rational
         assert list(rep.roots) == sorted(Fraction(r) for r in roots)
@@ -465,9 +619,8 @@ planted = st.tuples(
 @given(planted)
 def test_rational_roots_matches_divisor_twin(case):
     roots, factor = case
-    coeffs = [int(c) for c in poly_from_roots(roots).coeffs]
-    p = RatPoly.from_coeffs(coeffs) * RatPoly.from_coeffs(factor + [1])
-    coeffs = [int(c) for c in p.coeffs]
+    coeffs = poly_mul(poly_from_roots(roots), factor + [1])
+    p = RatPoly.from_coeffs(coeffs)
     assert abs(coeffs[0]) <= 10**6
     twin_roots, remainder = divisor_twin(coeffs)
     rep = rational_roots(p)
@@ -478,19 +631,16 @@ def test_rational_roots_matches_divisor_twin(case):
         assert_witness_interval_checks(rep.witness, remainder, {1})
     else:
         assert rep.witness.kind == "complex-roots"
-        assert not isolate_real_roots(
-            RatPoly.from_coeffs(remainder).squarefree_part()
-        )
+        assert not isolate_real_roots(squarefree_part(remainder))
 
 
 @given(planted, st.integers(-30, 30), st.booleans())
 def test_root_sieve_implies_no_integer_root(case, k, plant):
     # no root mod some p <= 19 must mean brute force finds no integer root
     roots, factor = case
-    p = poly_from_roots(roots) * RatPoly.from_coeffs(factor + [1])
+    coeffs = poly_mul(poly_from_roots(roots), factor + [1])
     if plant:
-        p = p * RatPoly.from_coeffs([-k, 1])
-    coeffs = [int(c) for c in p.coeffs]
+        coeffs = poly_mul(coeffs, [-k, 1])
     if _no_root_mod_small_prime(coeffs):
         bound = 1 + max(abs(c) for c in coeffs)
         assert all(int_eval(coeffs, x) for x in range(-bound, bound + 1))
@@ -525,6 +675,13 @@ def test_rational_roots_requires_monic():
 
 # --- Newton polygons -----------------------------------------------------
 
+def newton_polygon(coeffs, p):
+    # per-coefficient valuations, as the screens hand them over
+    return newton_polygon_from_valuations(
+        [None if c == 0 else ord_p(c, p) for c in coeffs], p
+    )
+
+
 def test_newton_polygon_squared_difference():
     np_ = newton_polygon([-1, 0, 1], 2)  # x^2 - 1
     assert np_.slopes == (Fraction(0),)
@@ -555,8 +712,7 @@ def test_newton_polygon_integer_roots_integer_slopes():
     rng = random.Random(5)
     for _ in range(25):
         roots = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
-        p = poly_from_roots(roots)
-        coeffs = [int(c) for c in p.coeffs]
+        coeffs = poly_from_roots(roots)
         for prime in (2, 3, 5):
             assert newton_polygon(coeffs, prime).all_slopes_integer, (
                 roots,
