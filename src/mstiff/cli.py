@@ -14,6 +14,7 @@ the emitted result set is identical either way, whatever --workers was.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -932,6 +933,7 @@ def _parse_int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves it unchanged: share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstiff",

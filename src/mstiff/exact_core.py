@@ -127,9 +127,10 @@ def factorize(n: int) -> dict[int, int]:
     only as certain as `is_probable_prime` (deterministic below 3.3e24).
     On that route are `QuadSurd.make` (the squarefree part of a surd),
     `divisor_candidates` (the offset products) and, through
-    `is_probable_prime` itself, `newton --p`.  The coefficient screen hands
-    it only integers of at most 2n, and the rough cofactors of a witness
-    value whose display-only size sits near the bit cap.
+    `is_probable_prime` itself, `newton --p`, and the rough cofactors of a
+    coefficient-screen witness value whose display-only size sits near the
+    bit cap.  The screen's walk itself reads the table in place and splits
+    larger step factors with `smooth_part`.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -25,6 +25,7 @@ from .diophantine import (
 )
 from .exact_core import divisors_from_factors, factorize
 from .stiffness import (
+    _FULL_SCREEN_CAP,
     BoundExceeded,
     BoundResult,
     IrrationalRoot,
@@ -32,6 +33,7 @@ from .stiffness import (
     StiffVerdict,
     UndecidedError,
     n_upper_bound,
+    screen_rejects,
     stiff_exists,
 )
 
@@ -232,18 +234,23 @@ def _decide_candidates(
 ) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
     """Decide each degree parameter in ns with stiff_exists.
 
-    Each n < cascade_below first meets the offset cascade (even dim only);
-    a rejection is the coefficient-screen verdict stiff_exists would give,
-    since below the threshold no bound applies and both coefficient
-    screens catch a forbidden denominator prime of u_n.
+    Each n < cascade_below meets the offset cascade (even dim only) and,
+    within the full-screen budget, the screen walk (`screen_rejects`).  A
+    rejection by either is the coefficient-screen verdict stiff_exists
+    would give, since no bound applies below the threshold and the
+    cascade, top and full screens never contradict each other.
     """
     rows = []
     existing = []
     unresolved = []
-    offsets = _offset_products(dim, odd_deg) if cascade_below else []
+    cascade = cascade_below and dim % 2 == 0
+    offsets = _offset_products(dim, odd_deg) if cascade else []
     for n in ns:
         m = 2 * n + 1 if odd_deg else 2 * n
-        if n < cascade_below and _offset_cascade_rejects(n, offsets, odd_deg):
+        if n < cascade_below and (
+            _offset_cascade_rejects(n, offsets, odd_deg)
+            or (n <= _FULL_SCREEN_CAP and screen_rejects(m, dim))
+        ):
             rows.append(CandidateOutcome(n, m, "coefficient-screen"))
             continue
         try:
@@ -307,7 +314,9 @@ def _classify_branch(
     if bound is None:
         raise AssertionError(f"no nonexistence bound for dimension {dim}")
     ns = tuple(range(2, bound.threshold))
-    rows, existing, unresolved = _decide_candidates(dim, odd_deg, ns)
+    rows, existing, unresolved = _decide_candidates(
+        dim, odd_deg, ns, cascade_below=bound.threshold
+    )
     return BranchOutcome(
         dim,
         odd_deg,

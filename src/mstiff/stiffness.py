@@ -23,9 +23,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact_core import (
+    _SMALL_PRIME_LIMIT,
     NewtonPolygon,
     RatPoly,
     RootWitness,
+    _least_factor,
     factorize,
     newton_polygon_from_valuations,
     rational_roots,
@@ -46,6 +48,7 @@ __all__ = [
     "NonIntegerCoefficient",
     "ScreenReport",
     "screen_coefficients",
+    "screen_rejects",
     "top_coefficient_screen",
     "newton_screen",
     "IrrationalRoot",
@@ -192,8 +195,6 @@ class ScreenReport:
 
 
 _VALUE_BIT_CAP = 2048
-# `factorize` reads integers below this off its least-factor table
-_TABLE_LIMIT = 1 << 16
 
 
 def _expand(
@@ -226,67 +227,93 @@ def _expand(
     return Fraction(num * math.prod(rough), den)
 
 
+def _first_bad_step(
+    p: StiffParams,
+) -> Optional[tuple[int, dict[int, int], list[int]]]:
+    """(r, exps, rough) for the first u_r with a forbidden denominator
+    prime, or None.  u_r = prod(q^exps[q]) * prod(rough), exps exact for
+    every prime up to B = 2n-2+step, no prime up to B in a rough cofactor.
+    Step r multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step);
+    a factor below 2^16 is split by reading the least-factor table in
+    place, a larger one by `smooth_part` (exact for the three factors of
+    at most B).  No primality test is made."""
+    n, shift, step = p.n, p.shift, p.denominator_step
+    allowed = 3 if p.odd else 0
+    bound = 2 * n - 2 + step
+    least, limit = _least_factor, _SMALL_PRIME_LIMIT
+    exps: dict[int, int] = {}
+    get = exps.get
+    rough: list[int] = []
+    for r in range(1, n + 1):
+        for x in (n - r + 1, shift + 2 * r - 2):
+            if x >= limit:
+                part, x = smooth_part(x, bound)
+                if x > 1:
+                    rough.append(x)
+                    x = 1
+                for q, e in part.items():
+                    exps[q] = get(q, 0) + e
+            while x > 1:
+                q = least[x] or x
+                exps[q] = get(q, 0) + 1
+                x //= q
+        bad = False
+        for x in (r, 2 * r - 2 + step):
+            if x >= limit:
+                part, x = smooth_part(x, bound)  # x <= B: no cofactor
+                for q, e in part.items():
+                    exps[q] = v = get(q, 0) - e
+                    bad |= v < 0 and q != allowed
+            while x > 1:
+                q = least[x] or x
+                exps[q] = v = get(q, 0) - 1
+                x //= q
+                bad |= v < 0 and q != allowed
+        if bad:
+            return r, exps, rough
+    return None
+
+
+def screen_rejects(m: int, dim: int) -> bool:
+    """screen_coefficients(m, dim).witness is not None, without building
+    the witness or the valuations."""
+    return _first_bad_step(stiff_params(m, dim)) is not None
+
+
 def screen_coefficients(
     m: int, dim: int, track_primes: Sequence[int] = (2, 3, 5)
 ) -> ScreenReport:
-    """Walk u_1..u_n in factored form; stop at the first coefficient with a
-    forbidden denominator.  On success, return the tracked valuations so a
-    Newton screen can run without expanding any coefficient.
+    """Walk u_1..u_n in factored form (`_first_bad_step`) up to the first
+    coefficient with a forbidden denominator; on success, return the
+    tracked valuations, so a Newton screen expands no coefficient.
 
-    Step r multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step).
-    A new denominator prime can only be a prime of the step's divisor, at
-    most B = 2n-2+step, and an earlier one would already have stopped the
-    walk, so only the divisor's primes are tested, and exact exponents are
-    needed only for the primes up to B.  n-r+1, r and 2r-2+step are at
-    most B, so `factorize` reads them off its table (and stays far inside
-    its proven range beyond it), as it does shift+2r-2 below 2^16.  A
-    larger shift+2r-2, of the size of dim, goes to `smooth_part`, which
-    splits off the primes up to B and leaves a rough cofactor that is never
-    factored.  The tracked valuations are counted from the four step
-    factors after a walk ends without a witness, so a tracked prime past B
-    needs no sieve up to it.  track_primes must be primes.
-    Odd degrees allow 3 in the denominator: u_r is C(n, r) times the
-    rising product over 3*5*...*(2r+1), whose ord_3 is at most r, which is
-    all the denominator 3^r of the roots can absorb."""
+    Only step r's divisor can bring in a new denominator prime, so the
+    witness prime is the least forbidden prime with a negative exponent
+    at step r.  The tracked valuations are counted from the step factors
+    after a walk without a witness, so a tracked prime past B needs no
+    sieve up to it.  track_primes must be primes.  Odd degrees allow 3 in
+    the denominator: u_r is C(n, r) times the rising product over
+    3*5*...*(2r+1), whose ord_3 is at most r, all the denominator 3^r of
+    the roots can absorb."""
     p = stiff_params(m, dim)
-    n, shift, step, odd = p.n, p.shift, p.denominator_step, p.odd
-    three_allowed = 3 if odd else 0
-    exps: dict[int, int] = {}
-    get = exps.get
-    # exps is exact for every prime <= bound, and no rough cofactor has one
-    bound = 2 * n - 2 + step
-    rough: list[int] = []
-    for r in range(1, n + 1):
-        for q, e in factorize(n - r + 1).items():
-            exps[q] = get(q, 0) + e
-        x = shift + 2 * r - 2
-        if x < _TABLE_LIMIT:
-            part, c = factorize(x), 1
-        else:
-            part, c = smooth_part(x, bound)
-        for q, e in part.items():
-            exps[q] = get(q, 0) + e
-        if c > 1:
-            rough.append(c)
-        bad = 0
-        for x in (r, 2 * r - 2 + step):
-            for q, e in factorize(x).items():
-                exps[q] = v = get(q, 0) - e
-                if v < 0 and q != three_allowed and (not bad or q < bad):
-                    bad = q
-        if bad:
-            return ScreenReport(
-                NonIntegerCoefficient(
-                    index=r,
-                    prime=bad,
-                    valuation=exps[bad],
-                    value=_expand(exps, rough, _VALUE_BIT_CAP),
-                    detail=f"prime {bad} survives in the denominator of u_{r}",
-                ),
-                None,
-            )
+    hit = _first_bad_step(p)
+    if hit is not None:
+        r, exps, rough = hit
+        bad = min(q for q, e in exps.items()
+                  if e < 0 and not (p.odd and q == 3))
+        return ScreenReport(
+            NonIntegerCoefficient(
+                index=r,
+                prime=bad,
+                valuation=exps[bad],
+                value=_expand(exps, rough, _VALUE_BIT_CAP),
+                detail=f"prime {bad} survives in the denominator of u_{r}",
+            ),
+            None,
+        )
     # only a walk without a witness returns the tracked valuations, so they
     # are summed here, from the step factors themselves
+    n, shift, step = p.n, p.shift, p.denominator_step
     valuations = {}
     for q in track_primes:
         v, vals = 0, []

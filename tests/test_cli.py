@@ -641,3 +641,23 @@ def test_module_entry_point_subprocess():
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
+
+
+def test_parser_shared_across_calls_prints_what_fresh_parsers_print(capsys):
+    # build_parser is cached, so one process reuses the parser that a
+    # usage error and --version went through
+    calls = (
+        ("exists", "--m", "4"),
+        ("--version",),
+        ("exists", "--m", "6", "--d", "5", "--format", "json"),
+    )
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 3]
+    assert "required" in shared[0][2] and shared[1][1].strip()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mstiff import search, stiffness
 from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.search import (
     _decide_candidates,
@@ -155,6 +156,43 @@ def test_cascade_leaves_degrees_past_the_threshold_to_the_bound():
         twin = _rows_without_cascade(dim, False, ns)
         assert [(r.n, r.m, r.status) for r in rows] == twin
         assert twin[-1][2] == "bound"
+
+
+def _bounded_scan_branches():
+    """(dim, odd_deg, threshold) of every bounded-scan branch of odd
+    d = 3..199 and of even d = 4, 6, 8, 12 and 14."""
+    for dim in [*range(3, 200, 2), 4, 6, 8, 12, 14]:
+        for b in classify_dimension(dim).branches:
+            if b.method == "bounded-scan":
+                yield dim, b.odd_deg, b.bound.threshold
+
+
+def _assert_scan_rows_match_stiff_exists():
+    statuses = set()
+    for dim, odd_deg, threshold in _bounded_scan_branches():
+        ns = tuple(range(2, threshold))
+        rows, _, _ = _decide_candidates(dim, odd_deg, ns, threshold)
+        twin = _rows_without_cascade(dim, odd_deg, ns)
+        assert [(r.n, r.m, r.status) for r in rows] == twin, (dim, odd_deg)
+        statuses.update(status for _, _, status in twin)
+    return statuses
+
+
+def test_scan_rows_match_stiff_exists_on_every_n():
+    # rows the screen walk settles without stiff_exists must read as the
+    # full decision's rows; every scanned n goes through both
+    statuses = _assert_scan_rows_match_stiff_exists()
+    assert {"coefficient-screen", "exists", "newton-screen"} <= statuses
+
+
+def test_scan_rows_past_the_full_screen_cap_stay_unresolved(monkeypatch):
+    # below most thresholds, so stiff_exists leaves n > 100 undecided, and
+    # the screen walk must not decide them either; the cap stays above
+    # the top screen's least n, as the real one does.  search holds its
+    # own binding of the name, so both are patched.
+    for module in (stiffness, search):
+        monkeypatch.setattr(module, "_FULL_SCREEN_CAP", 100)
+    assert "unresolved" in _assert_scan_rows_match_stiff_exists()
 
 
 # --- threshold comparison shortcut ---------------------------------------

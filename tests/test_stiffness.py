@@ -5,12 +5,13 @@ product formula before the implementation, and closed-form quadratures
 serve as an independent second route everywhere the two meet.
 """
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mstiff import exact_core
+from mstiff import exact_core, stiffness
 from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.exact_core import factorize
 from mstiff.gegenbauer import closed_form_quadrature, moment
@@ -24,6 +25,7 @@ from mstiff.stiffness import (
     s_coefficients,
     s_poly,
     screen_coefficients,
+    screen_rejects,
     stiff_exists,
     stiff_params,
     top_coefficient_screen,
@@ -198,6 +200,59 @@ def test_screen_matches_product_walk_for_large_dimensions(m, dim):
     assert_screen_matches_product_walk(m, dim)
 
 
+def assert_rejects_matches_witness(m, dim):
+    assert screen_rejects(m, dim) == (
+        screen_coefficients(m, dim).witness is not None
+    ), (m, dim)
+
+
+@given(st.integers(2, 400), st.integers(3, 600))
+def test_screen_rejects_matches_its_witness_twin(m, dim):
+    assert_rejects_matches_witness(m, dim)
+
+
+@given(st.integers(2, 40), st.integers(3, 10**25))
+def test_screen_rejects_matches_its_witness_twin_for_large_dimensions(m, dim):
+    assert_rejects_matches_witness(m, dim)
+
+
+@settings(max_examples=40)
+@given(st.integers(2**15, 2**17), st.booleans(), st.integers(3, 600))
+@example(2**15, False, 4)  # no witness: every divisor stays below 2^16
+@example(2**16, False, 4)  # n itself is 2^16, one past the table
+@example(2**16, True, 4)  # u_32768 divides by 2r + 1 = 65537
+@example(2**16, False, 6)  # u_32769 divides by 2r - 1 = 65537
+def test_screen_rejects_across_the_table_edge(n, odd_deg, dim):
+    # step factors on both sides of 2^16, where the walk leaves the
+    # least-factor table for smooth_part
+    m = 2 * n + 1 if odd_deg else 2 * n
+    assert_rejects_matches_witness(m, dim)
+    w = screen_coefficients(m, dim).witness
+    if w is not None and w.index <= 64:
+        assert (w.index, w.prime, w.valuation, w.value) == (
+            product_walk_screen(m, dim)[0]
+        )
+
+
+@pytest.mark.parametrize("m, dim, index", [
+    (2**17 + 1, 4, 2**15), (2**17, 6, 2**15 + 1),
+])
+def test_witness_prime_past_the_table_edge(m, dim, index):
+    # the divisor 65537 is prime and no numerator factor before it holds it
+    w = screen_coefficients(m, dim).witness
+    assert (w.index, w.prime, w.valuation) == (index, 65537, -1)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 400), st.integers(3, 10**12))
+def test_screen_walk_does_not_depend_on_the_table_edge(m, dim):
+    # with the table cut to 4, every step factor from 4 up goes through
+    # smooth_part, as factors from 2^16 up do with the real table
+    before = screen_coefficients(m, dim)
+    with patch.object(stiffness, "_SMALL_PRIME_LIMIT", 4):
+        assert screen_coefficients(m, dim) == before
+
+
 FAR = 10**9 + 7
 
 
@@ -284,6 +339,27 @@ def test_screen_calls_no_probable_prime_code_on_the_streams(prime_calls):
         # only the Newton screen's check that 2, 3 and 5 are primes
         assert {call[1] for call in prime_calls} <= {2, 3, 5}, (m, dim)
         prime_calls.clear()
+
+
+def test_screen_walk_calls_no_probable_prime_code_past_the_table(
+    prime_calls,
+):
+    # n from 2^15 up, so step factors reach past 2^16; the walk splits
+    # them with smooth_part, and only a witness value near the cap's band
+    # may factor a rough cofactor, which none of these needs
+    cells = [
+        (2 * n + odd, dim)
+        for n in (2**15, 2**15 + 1, 2**16 - 1, 2**16, 2**16 + 1, 99_991,
+                  2**17 - 1, 2**17)
+        for odd in (0, 1) for dim in (3, 5, 10, 23, 100, 399, 600)
+    ]
+    decided = 0
+    for m, dim in cells:
+        w = screen_coefficients(m, dim).witness
+        screen_rejects(m, dim)
+        assert prime_calls == [], (m, dim)
+        decided += w is not None and w.value is not None
+    assert decided >= 100
 
 
 def test_odd_degree_three_allowance_is_never_exceeded():
