@@ -3,8 +3,11 @@
 Commands: exists, classify, tables, pell, newton, bounds, verify.  Exit
 codes are stable: 0 Exists (or a successful run), 3 NotExists (or a
 failed verification), 2 usage errors, 4 state errors such as a corrupt
-checkpoint.  All result bytes go to stdout and are a pure function of the
-run configuration; checkpoint files are the only place timestamps live.
+checkpoint.  argparse converts and bounds every argument and rejects a
+--format the subcommand does not render, so a bad one exits 2 with an
+argparse message; each command then reads the parsed namespace.  All
+result bytes go to stdout and are a function of the arguments alone;
+checkpoint files are the only place timestamps live.
 
 Degree sweeps (classify --deg with m >= 6) walk a dimension grid cell by
 cell.  Each decided cell is appended to the checkpoint file as a JSON
@@ -16,11 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -29,14 +32,13 @@ from typing import Optional, Sequence
 from . import __version__
 from .diophantine import UnitElement, fundamental_unit, pell_representatives
 from .exact_core import (
-    NewtonPolygon,
+    PRIME_PROVEN_BELOW,
     is_probable_prime,
     newton_polygon_from_valuations,
     ord_p,
     perfect_square_root,
 )
 from .render import (
-    TableRow,
     decimal_str,
     fraction_str,
     node_str,
@@ -78,42 +80,11 @@ class StateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; equal configs give equal bytes."""
-
-    command: str
-    parameters: dict
-    output_format: str
-    budget: Optional[int]
-    checkpoint_path: Optional[str]
-    worker_count: int
-    precision: int
-
-    def validate(self) -> None:
-        if not 20 <= self.precision <= _MAX_EXPONENT:
-            raise UsageError(
-                f"--precision must be between 20 and {_MAX_EXPONENT}"
-            )
-        if self.worker_count < 1:
-            raise UsageError("--workers must be at least 1")
-        if self.budget is not None and self.budget < 1:
-            raise UsageError("--budget must be at least 1")
-
-
 # ---------------------------------------------------------------------------
 # shared rendering helpers
 
 def _emit(text: str) -> None:
     sys.stdout.write(text)
-
-
-def _require_format(fmt: str, allowed: Sequence[str]) -> None:
-    if fmt not in allowed:
-        raise UsageError(
-            f"format {fmt!r} is not supported here (choose from "
-            f"{', '.join(allowed)})"
-        )
 
 
 def _witness_json(witness) -> dict:
@@ -217,20 +188,14 @@ def _exists_json(verdict: StiffVerdict) -> dict:
     }
 
 
-def cmd_exists(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    m = cfg.parameters["m"]
-    d = cfg.parameters["d"]
-    if m < 1:
-        raise UsageError("--m must be at least 1")
-    if d < 2:
-        raise UsageError("--d must be at least 2")
+def cmd_exists(args: argparse.Namespace) -> int:
+    m, d = args.m, args.d
     try:
         verdict = stiff_exists(m, d)
     except UndecidedError as e:
         raise StateError(str(e)) from e
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(json.dumps(_exists_json(verdict), indent=2) + "\n")
         return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
@@ -259,7 +224,7 @@ def cmd_exists(cfg: RunConfig) -> int:
         for square, z in zip(
             [sq for sq, _ in reversed(cert.quadrature.pairs)], zeros
         ):
-            shown.append(f"+-{z} (~ {decimal_str(square, cfg.precision)})")
+            shown.append(f"+-{z} (~ {decimal_str(square, args.precision)})")
         if cert.quadrature.center_weight is not None:
             shown.append("0")
         lines.append("  sections (outer to inner): " + ", ".join(shown))
@@ -271,18 +236,22 @@ def cmd_exists(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def cmd_tables(cfg: RunConfig) -> int:
-    which = cfg.parameters["which"]
-    limit = cfg.parameters["limit"]
-    if limit < 1:
-        raise UsageError("--limit must be at least 1")
-    rows = table_rows(which, limit)
-    _emit(render_table(rows, cfg.output_format))
+def cmd_tables(args: argparse.Namespace) -> int:
+    _emit(render_table(table_rows(args.which, args.limit), args.format))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # classify
+
+def _require_format(fmt: str, allowed: Sequence[str]) -> None:
+    """classify's modes render different formats; the parser allows all."""
+    if fmt not in allowed:
+        raise UsageError(
+            f"--format {fmt} is not supported here (choose from "
+            f"{', '.join(allowed)})"
+        )
+
 
 def _dim_classification_json(c) -> dict:
     branches = []
@@ -315,14 +284,11 @@ def _dim_classification_json(c) -> dict:
     }
 
 
-def _classify_dim(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    dim = cfg.parameters["dim"]
-    if dim < 2:
-        raise UsageError("--dim must be at least 2")
+def _classify_dim(args: argparse.Namespace) -> int:
+    _require_format(args.format, ("text", "json"))
+    dim, max_m = args.dim, args.max_m
     c = classify_dimension(dim)
-    max_m = cfg.parameters.get("max_m")
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = _dim_classification_json(c)
         if max_m is not None and not c.all_degrees:
             payload["degrees"] = [m for m in payload["degrees"] if m <= max_m]
@@ -479,41 +445,41 @@ def _sweep_cell(args: tuple[int, int]) -> dict:
     }
 
 
-def _classify_deg_sweep(cfg: RunConfig) -> int:
-    m = cfg.parameters["deg"]
-    max_d = cfg.parameters["max_d"]
+def _classify_deg_sweep(args: argparse.Namespace) -> int:
+    m, max_d, budget = args.deg, args.max_d, args.budget
     if max_d < 3:
         raise UsageError("--max-d must be at least 3 (the range is empty)")
     kind = "classify-deg"
-    grid = list(range(3, max_d + 1))
+    grid = range(3, max_d + 1)
     replayed: dict[int, dict] = {}
     ckpt: Optional[Path] = None
-    if cfg.checkpoint_path is not None:
-        ckpt = Path(cfg.checkpoint_path)
-        in_grid = set(grid)
+    if args.checkpoint is not None:
+        ckpt = Path(args.checkpoint)
         replayed = {
             d: v for d, v in _load_checkpoint(ckpt, kind, m).items()
-            if d in in_grid
+            if d in grid
         }
-    todo = [d for d in grid if d not in replayed]
-    budget_exhausted = False
-    if cfg.budget is not None and len(todo) > cfg.budget:
-        todo = todo[: cfg.budget]
-        budget_exhausted = True
+    # walked lazily, so a budgeted run never builds the whole grid
+    pending = ((m, d) for d in grid if d not in replayed)
+    todo = list(
+        pending if budget is None else itertools.islice(pending, budget + 1)
+    )
+    budget_exhausted = budget is not None and len(todo) > budget
+    if budget_exhausted:
+        todo.pop()
 
     computed: list[dict] = []
-    args = [(m, d) for d in todo]
     with ExitStack() as stack:
-        if cfg.worker_count > 1 and len(args) > 1:
-            chunk = max(1, len(args) // (cfg.worker_count * 8))
+        if args.workers > 1 and len(todo) > 1:
+            chunk = max(1, len(todo) // (args.workers * 8))
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.worker_count)
+                ProcessPoolExecutor(max_workers=args.workers)
             )
-            results = pool.map(_sweep_cell, args, chunksize=chunk)
+            results = pool.map(_sweep_cell, todo, chunksize=chunk)
         else:
-            results = map(_sweep_cell, args)
+            results = map(_sweep_cell, todo)
         fh = None
-        if ckpt is not None and args:
+        if ckpt is not None and todo:
             fh = stack.enter_context(
                 ckpt.open("a", encoding="utf-8", newline="\n")
             )
@@ -545,17 +511,17 @@ def _classify_deg_sweep(cfg: RunConfig) -> int:
             "d = 2 admits every degree and is not part of the grid; "
             "dimensions beyond max-d are unexplored, not refuted"
         ),
-        "budget": cfg.budget,
+        "budget": budget,
         "wall_clock_cap": None,
         "budget_exhausted": budget_exhausted,
     }
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         out = [json.dumps(c, sort_keys=True) for c in cells]
         out.append(json.dumps(summary, sort_keys=True))
         _emit("\n".join(out) + "\n")
         return EXIT_OK
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         import csv as _csv
         import io as _io
 
@@ -586,19 +552,17 @@ def _classify_deg_sweep(cfg: RunConfig) -> int:
     )
     lines.append(f"  complete below max-d: {'yes' if complete else 'no'}")
     if budget_exhausted:
-        lines.append(f"  budget of {cfg.budget} cells exhausted")
+        lines.append(f"  budget of {budget} cells exhausted")
     lines.append("  d = 2 admits every degree; beyond max-d is unexplored")
     _emit("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _classify_deg(cfg: RunConfig) -> int:
-    m = cfg.parameters["deg"]
-    if m < 1:
-        raise UsageError("--deg must be at least 1")
+def _classify_deg(args: argparse.Namespace) -> int:
+    m = args.deg
     if m <= 3:
-        _require_format(cfg.output_format, ("text", "json"))
-        if cfg.output_format == "json":
+        _require_format(args.format, ("text", "json"))
+        if args.format == "json":
             _emit(json.dumps(
                 {"m": m, "dims": "all", "complete": True}, indent=2
             ) + "\n")
@@ -608,14 +572,14 @@ def _classify_deg(cfg: RunConfig) -> int:
             )
         return EXIT_OK
     if m in (4, 5):
-        if cfg.checkpoint_path is not None:
+        if args.checkpoint is not None:
             raise UsageError(
                 "checkpointing applies to the bounded sweeps (--deg with "
                 "m >= 6); the degree-4/5 streams are complete"
             )
-        max_d = cfg.parameters["max_d"]
+        max_d = args.max_d
         rows = table_rows("m4" if m == 4 else "m5", max_d + 1)
-        if cfg.output_format == "json":
+        if args.format == "json":
             out = []
             for r in rows:
                 out.append(json.dumps({
@@ -632,13 +596,13 @@ def _classify_deg(cfg: RunConfig) -> int:
                 "admissible": [r.d for r in rows],
                 "complete": True,
                 "method": "pell-stream",
-                "budget": cfg.budget,
+                "budget": args.budget,
                 "wall_clock_cap": None,
             }, sort_keys=True))
             _emit("\n".join(out) + "\n")
             return EXIT_OK
-        if cfg.output_format in ("csv", "markdown"):
-            _emit(render_table(rows, cfg.output_format))
+        if args.format in ("csv", "markdown"):
+            _emit(render_table(rows, args.format))
             return EXIT_OK
         _emit(
             f"degree {m}: admissible dimensions d <= {max_d} "
@@ -646,36 +610,27 @@ def _classify_deg(cfg: RunConfig) -> int:
         )
         _emit(render_table(rows, "text"))
         return EXIT_OK
-    _require_format(cfg.output_format, ("text", "csv", "json"))
-    return _classify_deg_sweep(cfg)
+    _require_format(args.format, ("text", "csv", "json"))
+    return _classify_deg_sweep(args)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    if cfg.parameters.get("dim") is not None:
-        if cfg.checkpoint_path is not None:
-            raise UsageError(
-                "checkpointing applies to degree sweeps, not --dim"
-            )
-        return _classify_dim(cfg)
-    if cfg.parameters.get("deg") is not None:
-        return _classify_deg(cfg)
-    raise UsageError("classify needs exactly one of --dim or --deg")
+def cmd_classify(args: argparse.Namespace) -> int:
+    if args.dim is None:
+        return _classify_deg(args)
+    if args.checkpoint is not None:
+        raise UsageError("checkpointing applies to degree sweeps, not --dim")
+    return _classify_dim(args)
 
 
 # ---------------------------------------------------------------------------
 # pell
 
-def cmd_pell(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    d = cfg.parameters["D"]
-    m = cfg.parameters["M"]
-    orbit_len = cfg.parameters["limit"]
-    if d < 2 or perfect_square_root(d) is not None:
-        raise UsageError("--D must be a nonsquare integer >= 2")
+def cmd_pell(args: argparse.Namespace) -> int:
+    d, m = args.D, args.M
+    if perfect_square_root(d) is not None:
+        raise UsageError(f"--D must not be a perfect square, got {d}")
     if m == 0:
         raise UsageError("--M must be nonzero")
-    if orbit_len < 1:
-        raise UsageError("--limit must be at least 1")
     unit = fundamental_unit(d)
     u0 = unit if unit.norm == 1 else unit * unit
     reps = pell_representatives(d, m)
@@ -683,12 +638,12 @@ def cmd_pell(cfg: RunConfig) -> int:
     for rep in reps:
         elem = UnitElement(rep.x, rep.y, d)
         orbit = []
-        for _ in range(orbit_len):
+        for _ in range(args.limit):
             orbit.append(elem)
             elem = elem * u0
         classes.append((rep, orbit))
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "D": d,
             "M": m,
@@ -739,36 +694,31 @@ def cmd_pell(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # newton
 
-def _parse_coeffs(text: str) -> list[Fraction]:
+def _coeffs(text: str) -> list[Fraction]:
+    """An argparse type: comma-separated rationals, leading one nonzero."""
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        coeffs = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"cannot parse coefficients {text!r}: {e}") from e
+        raise argparse.ArgumentTypeError(
+            f"cannot parse coefficients {text!r}: {e}"
+        ) from None
+    if coeffs[0] == 0:
+        raise argparse.ArgumentTypeError("leading coefficient must be nonzero")
+    return coeffs
 
 
-def cmd_newton(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    p = cfg.parameters["p"]
+def cmd_newton(args: argparse.Namespace) -> int:
+    p, m, d = args.p, args.m, args.d
     if not is_probable_prime(p):
         raise UsageError(f"--p must be prime, got {p}")
-    coeffs_text = cfg.parameters.get("coeffs")
-    m = cfg.parameters.get("m")
-    d = cfg.parameters.get("d")
-    if coeffs_text is not None:
+    if args.coeffs is not None:
         if m is not None or d is not None:
             raise UsageError("give either coefficients or --m/--d, not both")
-        coeffs = _parse_coeffs(coeffs_text)  # descending, as written
-        if not coeffs or coeffs[0] == 0:
-            raise UsageError("leading coefficient must be nonzero")
-        coeffs = list(reversed(coeffs))  # ascending for the polygon
+        coeffs = args.coeffs[::-1]  # ascending for the polygon
         source = "explicit polynomial"
     else:
         if m is None or d is None:
             raise UsageError("newton needs --m and --d, or coefficients")
-        if m < 2:
-            raise UsageError("--m must be at least 2 (degree >= 1)")
-        if d < 2:
-            raise UsageError("--d must be at least 2")
         coeffs = list(s_poly(m, d).coeffs)
         source = f"degree-{len(coeffs) - 1} section polynomial (m = {m}, d = {d})"
 
@@ -781,7 +731,7 @@ def cmd_newton(cfg: RunConfig) -> int:
     polygon = newton_polygon_from_valuations(vals, p)
     fractional = [s for s in polygon.slopes if s.denominator != 1]
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "prime": p,
             "source": source,
@@ -828,17 +778,11 @@ def cmd_newton(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    d = cfg.parameters["d"]
-    if d < 2:
-        raise UsageError("--d must be at least 2")
-    rows = []
-    for odd_deg in (False, True):
-        bound = n_upper_bound(d, odd_deg)
-        rows.append((odd_deg, bound))
+def cmd_bounds(args: argparse.Namespace) -> int:
+    d = args.d
+    rows = [(odd_deg, n_upper_bound(d, odd_deg)) for odd_deg in (False, True)]
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "d": d,
             "bounds": [
@@ -873,22 +817,18 @@ def cmd_bounds(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _require_format(cfg.output_format, ("text", "json"))
-    tag = cfg.parameters["tag"]
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        canonical = resolve_theorem_tag(tag)
+        canonical = resolve_theorem_tag(args.tag)
     except KeyError:
         raise UsageError(
-            f"unknown theorem tag {tag!r}; known tags: "
+            f"unknown theorem tag {args.tag!r}; known tags: "
             + ", ".join(theorem_tags())
         ) from None
-    window = cfg.parameters["limit"]
-    if window < 0:
-        raise UsageError("--limit (window size) must be nonnegative")
-    report = verify_theorem(canonical, window=window, below_cap=cfg.budget)
+    report = verify_theorem(canonical, window=args.limit,
+                            below_cap=args.budget)
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "tag": report.tag,
             "alias": report.alias,
@@ -919,18 +859,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 _MAX_EXPONENT = 10_000
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse_int(text: str) -> int:
+    """An exact integer from decimal or scientific notation (1e30, 2.5e3)."""
     try:
         if "e" in text.lower():
             if abs(int(text.lower().rpartition("e")[2])) > _MAX_EXPONENT:
-                raise UsageError(f"{what}: exponent of {text!r} is too large")
+                raise argparse.ArgumentTypeError(
+                    f"exponent of {text!r} is too large"
+                )
             value = Fraction(text)
             if value.denominator != 1:
                 raise ValueError
             return int(value)
         return int(text, 10)
     except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}"
+        ) from None
+
+
+def _int(low: int, high: Optional[int] = None):
+    """An argparse type: `_parse_int`, then low <= value (<= high)."""
+    def convert(text: str) -> int:
+        value = _parse_int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
+        return value
+    return convert
 
 
 @functools.lru_cache(maxsize=1)  # parsing leaves it unchanged: share it
@@ -945,117 +902,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", default="text",
-            choices=("text", "csv", "json", "markdown"),
-        )
-        p.add_argument("--precision", default="50")
+    def add_parser(name: str, summary: str, formats=("text", "json")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", default="text", choices=formats)
+        return p
 
-    p = sub.add_parser("exists", help="decide one (m, d) cell")
-    p.add_argument("--m", required=True)
-    p.add_argument("--d", required=True)
-    add_common(p)
+    all_formats = ("text", "csv", "json", "markdown")
 
-    p = sub.add_parser("classify", help="sweep one axis of the (m, d) grid")
-    p.add_argument("--dim", default=None)
-    p.add_argument("--deg", default=None)
-    p.add_argument("--max-d", default="100000000",
+    p = add_parser("exists", "decide one (m, d) cell")
+    p.add_argument("--m", required=True, type=_int(1))
+    p.add_argument("--d", required=True, type=_int(2))
+    p.add_argument("--precision", default=50, type=_int(20, _MAX_EXPONENT),
+                   help="digits of the decimal section positions")
+
+    p = add_parser("classify", "sweep one axis of the (m, d) grid",
+                   all_formats)
+    axis = p.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--dim", type=_int(2))
+    axis.add_argument("--deg", type=_int(1))
+    p.add_argument("--max-d", default=10**8, type=_parse_int,
                    help="largest dimension, inclusive")
-    p.add_argument("--max-m", default=None)
-    p.add_argument("--budget", default=None,
+    p.add_argument("--max-m", type=_parse_int)
+    p.add_argument("--budget", type=_int(1),
                    help="grid cells examined at most")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--workers", default="1")
-    add_common(p)
+    p.add_argument("--checkpoint")
+    p.add_argument("--workers", default=1, type=_int(1))
 
-    p = sub.add_parser("tables", help="reproduce a classification table")
+    p = add_parser("tables", "reproduce a classification table", all_formats)
     p.add_argument("--which", required=True, choices=("m4", "m5"))
-    p.add_argument("--limit", default="1e8",
+    p.add_argument("--limit", default=10**8, type=_int(1),
                    help="strict upper bound on d (the caption's 'less than')")
-    add_common(p)
 
-    p = sub.add_parser("pell", help="fundamental unit and solution classes")
-    p.add_argument("--D", required=True)
-    p.add_argument("--M", required=True)
-    p.add_argument("--limit", default="3", help="orbit elements per class")
-    add_common(p)
+    p = add_parser("pell", "fundamental unit and solution classes")
+    p.add_argument("--D", required=True, type=_int(2))
+    p.add_argument("--M", required=True, type=_parse_int)
+    p.add_argument("--limit", default=3, type=_int(1),
+                   help="orbit elements per class")
 
-    p = sub.add_parser("newton", help="render a Newton polygon")
-    p.add_argument("coeffs", nargs="?", default=None,
+    p = add_parser("newton", "render a Newton polygon")
+    p.add_argument("coeffs", nargs="?", type=_coeffs,
                    help="comma-separated coefficients, leading first")
-    p.add_argument("--m", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--p", default="2")
-    add_common(p)
+    p.add_argument("--m", type=_int(2))
+    p.add_argument("--d", type=_int(2))
+    # is_probable_prime is a proof below this bound
+    p.add_argument("--p", default=2, type=_int(2, PRIME_PROVEN_BELOW - 1))
 
-    p = sub.add_parser("bounds", help="nonexistence thresholds per parity")
-    p.add_argument("--d", required=True)
-    add_common(p)
+    p = add_parser("bounds", "nonexistence thresholds per parity")
+    p.add_argument("--d", required=True, type=_int(2))
 
-    p = sub.add_parser("verify", help="recompute a nonexistence statement")
+    p = add_parser("verify", "recompute a nonexistence statement")
     p.add_argument("tag", help="theorem tag or alias")
-    p.add_argument("--limit", default="25",
+    p.add_argument("--limit", default=25, type=_int(0),
                    help="degrees sampled past the threshold")
-    p.add_argument("--budget", default=None,
+    p.add_argument("--budget", type=_int(1),
                    help="cap on the below-threshold sweep")
-    add_common(p)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict = {}
-    budget = None
-    checkpoint = None
-    workers = 1
-
-    def opt_int(name: str, value, what: str) -> Optional[int]:
-        return None if value is None else _parse_int(value, what)
-
-    if args.command == "exists":
-        params["m"] = _parse_int(args.m, "--m")
-        params["d"] = _parse_int(args.d, "--d")
-    elif args.command == "classify":
-        params["dim"] = opt_int("dim", args.dim, "--dim")
-        params["deg"] = opt_int("deg", args.deg, "--deg")
-        if params["dim"] is not None and params["deg"] is not None:
-            raise UsageError("classify needs exactly one of --dim or --deg")
-        params["max_d"] = _parse_int(args.max_d, "--max-d")
-        params["max_m"] = opt_int("max_m", args.max_m, "--max-m")
-        budget = opt_int("budget", args.budget, "--budget")
-        checkpoint = args.checkpoint
-        workers = _parse_int(args.workers, "--workers")
-    elif args.command == "tables":
-        params["which"] = args.which
-        params["limit"] = _parse_int(args.limit, "--limit")
-    elif args.command == "pell":
-        params["D"] = _parse_int(args.D, "--D")
-        params["M"] = _parse_int(args.M, "--M")
-        params["limit"] = _parse_int(args.limit, "--limit")
-    elif args.command == "newton":
-        params["coeffs"] = args.coeffs
-        params["m"] = opt_int("m", args.m, "--m")
-        params["d"] = opt_int("d", args.d, "--d")
-        params["p"] = _parse_int(args.p, "--p")
-    elif args.command == "bounds":
-        params["d"] = _parse_int(args.d, "--d")
-    elif args.command == "verify":
-        params["tag"] = args.tag
-        params["limit"] = _parse_int(args.limit, "--limit")
-        budget = opt_int("budget", args.budget, "--budget")
-
-    cfg = RunConfig(
-        command=args.command,
-        parameters=params,
-        output_format=args.format,
-        budget=budget,
-        checkpoint_path=checkpoint,
-        worker_count=workers,
-        precision=_parse_int(args.precision, "--precision"),
-    )
-    cfg.validate()
-    return cfg
 
 
 _COMMANDS = {
@@ -1073,15 +975,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # exact results can outgrow Python's 4,300-digit int-to-str limit;
     # builds before 3.10.7 have no limit and no setter
     getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse already printed a message; exit 2 on bad usage
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,7 +41,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # primality and factorization
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes make Miller-Rabin a proof below psi_13 =
+# 3,317,044,064,679,887,385,961,981, the least composite that is a strong
+# probable prime to all of them (Sorenson and Webster, Math. Comp. 86, 2017;
+# the first 12 stop at psi_12 ~ 3.19e23).  Base 43 also rejects psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+PRIME_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIME_LIMIT = 1 << 16
 # _least_factor[k] is the least prime factor of a composite k < 2^16, and 0
@@ -62,10 +67,12 @@ SMALL_PRIMES = tuple(
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
+    """Miller-Rabin to the bases `_MR_BASES`: a proof for n below
+    `PRIME_PROVEN_BELOW` (psi_13, about 3.3e24), a probable-prime test past
+    it.  The same primes are trial divisors, so each is called prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -124,10 +131,10 @@ def factorize(n: int) -> dict[int, int]:
     |n| < 2^16 is read off the least-prime-factor table, which is proven
     (a sieve, no primality test).  Larger |n| go through trial division by
     the small primes, Miller-Rabin and Pollard rho, so their factors are
-    only as certain as `is_probable_prime` (deterministic below 3.3e24).
-    On that route are `QuadSurd.make` (the squarefree part of a surd),
-    `divisor_candidates` (the offset products) and, through
-    `is_probable_prime` itself, `newton --p`, and the rough cofactors of a
+    only as certain as `is_probable_prime`: proven below
+    `PRIME_PROVEN_BELOW` (psi_13, about 3.3e24).  On that route are
+    `QuadSurd.make` (the squarefree part of a surd), `divisor_candidates`
+    (the offset products) and the rough cofactors of a
     coefficient-screen witness value whose display-only size sits near the
     bit cap.  The screen's walk itself reads the table in place and splits
     larger step factors with `smooth_part`.

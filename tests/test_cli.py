@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,78 @@ def test_unknown_theorem_lists_tags(capsys):
     assert "odd-dim-valuation" in err
 
 
+# a valid call of each subcommand (classify once per mode), so each case
+# below differs from one in a single argument
+VALID = {
+    "exists": ("exists", "--m", "4", "--d", "23"),
+    "classify --dim": ("classify", "--dim", "5"),
+    "classify --deg low": ("classify", "--deg", "2"),
+    "classify --deg sweep": ("classify", "--deg", "6", "--max-d", "10"),
+    "tables": ("tables", "--which", "m4", "--limit", "30"),
+    "pell": ("pell", "--D", "6", "--M", "9"),
+    "newton": ("newton", "--m", "6", "--d", "6"),
+    "bounds": ("bounds", "--d", "9"),
+    "verify": ("verify", "dim4-even-deg"),
+}
+PSI_13 = "3317044064679887385961981"
+
+
+@pytest.mark.parametrize("base, extra, flag", [
+    # formats each subcommand (or classify mode) does not render
+    *((base, ("--format", fmt), "--format")
+      for base in ("exists", "pell", "newton", "bounds", "verify",
+                   "classify --dim", "classify --deg low")
+      for fmt in ("csv", "markdown")),
+    ("classify --deg sweep", ("--format", "markdown"), "--format"),
+    # --precision belongs to exists alone
+    *((base, ("--precision", "50"), "--precision")
+      for base in ("classify --dim", "tables", "pell", "newton", "bounds",
+                   "verify")),
+    # every bounded integer, one past its edge
+    ("exists", ("--m", "0"), "--m"),
+    ("exists", ("--d", "1"), "--d"),
+    ("exists", ("--precision", "19"), "--precision"),
+    ("exists", ("--precision", "10001"), "--precision"),
+    ("classify --dim", ("--dim", "1"), "--dim"),
+    ("classify --deg sweep", ("--deg", "0"), "--deg"),
+    ("classify --deg sweep", ("--budget", "0"), "--budget"),
+    ("classify --deg sweep", ("--workers", "0"), "--workers"),
+    ("tables", ("--limit", "0"), "--limit"),
+    ("pell", ("--D", "1"), "--D"),
+    ("pell", ("--limit", "0"), "--limit"),
+    ("newton", ("--m", "1"), "--m"),
+    ("newton", ("--d", "1"), "--d"),
+    ("newton", ("--p", "1"), "--p"),
+    # psi_13 is the least number Miller-Rabin to the first 13 prime bases
+    # would call prime wrongly
+    ("newton", ("--p", PSI_13), "--p"),
+    ("bounds", ("--d", "1"), "--d"),
+    ("verify", ("--limit", "-1"), "--limit"),
+    ("verify", ("--budget", "0"), "--budget"),
+])
+def test_parser_refuses_bad_arguments(capsys, base, extra, flag):
+    code, out, err = run(capsys, *VALID[base], *extra)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+def test_budgeted_sweep_does_not_build_the_grid(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "classify", "--deg", "6", "--max-d", "3000000",
+            "--budget", "5", "--format", "json"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["cells"], summary["cells_examined"]) == (2999998, 5)
+    assert summary["budget_exhausted"] is True
+    assert peak < 5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # tables
 
@@ -183,8 +256,8 @@ def test_tables_scientific_limit(capsys):
 
 
 def test_scientific_notation_is_exact(capsys):
-    assert _parse_int("1e30", "--limit") == 10**30
-    assert _parse_int("2.5e3", "--limit") == 2500
+    assert _parse_int("1e30") == 10**30
+    assert _parse_int("2.5e3") == 2500
     # through a float, this odd dimension would round to the even 1e30
     code, out, _ = run(
         capsys, "bounds", "--d", "1.000000000000000000000000000001e30",

@@ -152,6 +152,18 @@ def test_is_probable_prime_small():
         assert is_probable_prime(n) == sieve[n], n
 
 
+@pytest.mark.parametrize("n, p, q", [
+    # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and
+    # the first 13 prime bases (Sorenson and Webster, 2017)
+    (318_665_857_834_031_151_167_461, 399_165_290_221, 798_330_580_441),
+    (3_317_044_064_679_887_385_961_981, 1_287_836_182_261, 2_575_672_364_521),
+])
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite(n, p, q):
+    assert p * q == n
+    assert not is_probable_prime(n)
+    assert factorize(n) == {p: 1, q: 1}
+
+
 def test_ord_p():
     assert ord_p(120, 2) == 3
     assert ord_p(120, 5) == 1
