@@ -572,11 +572,6 @@ def _classify_deg(args: argparse.Namespace) -> int:
             )
         return EXIT_OK
     if m in (4, 5):
-        if args.checkpoint is not None:
-            raise UsageError(
-                "checkpointing applies to the bounded sweeps (--deg with "
-                "m >= 6); the degree-4/5 streams are complete"
-            )
         max_d = args.max_d
         rows = table_rows("m4" if m == 4 else "m5", max_d + 1)
         if args.format == "json":
@@ -596,7 +591,7 @@ def _classify_deg(args: argparse.Namespace) -> int:
                 "admissible": [r.d for r in rows],
                 "complete": True,
                 "method": "pell-stream",
-                "budget": args.budget,
+                "budget": None,
                 "wall_clock_cap": None,
             }, sort_keys=True))
             _emit("\n".join(out) + "\n")
@@ -615,11 +610,23 @@ def _classify_deg(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    if args.dim is None:
-        return _classify_deg(args)
-    if args.checkpoint is not None:
-        raise UsageError("checkpointing applies to degree sweeps, not --dim")
-    return _classify_dim(args)
+    # a flag the mode ignores is refused, so --max-d and --workers default
+    # to None; the sweep-only flags serve the bounded sweeps (m >= 6) alone
+    swept = ("--budget", "--workers", "--checkpoint")
+    if args.dim is not None:
+        mode, ignored = "--dim", ("--max-d", *swept)
+    else:
+        mode, ignored = f"--deg {args.deg}", ("--max-m",)
+        if args.deg in (4, 5):
+            ignored += swept
+    for flag in ignored:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} does not apply to classify {mode}")
+    if args.dim is not None:
+        return _classify_dim(args)
+    args.max_d = 10**8 if args.max_d is None else args.max_d
+    args.workers = args.workers or 1
+    return _classify_deg(args)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +726,7 @@ def cmd_newton(args: argparse.Namespace) -> int:
     else:
         if m is None or d is None:
             raise UsageError("newton needs --m and --d, or coefficients")
-        coeffs = list(s_poly(m, d).coeffs)
+        coeffs = s_poly(m, d)
         source = f"degree-{len(coeffs) - 1} section polynomial (m = {m}, d = {d})"
 
     non_integral = [
@@ -920,13 +927,13 @@ def build_parser() -> argparse.ArgumentParser:
     axis = p.add_mutually_exclusive_group(required=True)
     axis.add_argument("--dim", type=_int(2))
     axis.add_argument("--deg", type=_int(1))
-    p.add_argument("--max-d", default=10**8, type=_parse_int,
-                   help="largest dimension, inclusive")
+    p.add_argument("--max-d", type=_parse_int,
+                   help="largest dimension, inclusive (default 1e8)")
     p.add_argument("--max-m", type=_parse_int)
     p.add_argument("--budget", type=_int(1),
                    help="grid cells examined at most")
     p.add_argument("--checkpoint")
-    p.add_argument("--workers", default=1, type=_int(1))
+    p.add_argument("--workers", type=_int(1), help="default 1")
 
     p = add_parser("tables", "reproduce a classification table", all_formats)
     p.add_argument("--which", required=True, choices=("m4", "m5"))

@@ -1,7 +1,7 @@
 """Exact arithmetic foundations.
 
-Integer factorization; dense polynomials over the rationals for the
-Gegenbauer recurrences; a root layer on ascending integer coefficient
+Integer factorization; Horner evaluation of polynomials given as ascending
+coefficient sequences; a root layer on ascending integer coefficient
 lists (Sturm isolation, interval refinement, rational root certification);
 Newton polygons.  No floating point anywhere; every function is pure, so
 the module is safe to use from worker processes.
@@ -24,7 +24,7 @@ __all__ = [
     "perfect_square_root",
     "fraction_square_root",
     "divisors_from_factors",
-    "RatPoly",
+    "poly_eval",
     "RootInterval",
     "RootWitness",
     "RootReport",
@@ -292,77 +292,17 @@ def divisors_from_factors(factors: dict[int, int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # polynomials
+#
+# A polynomial is a sequence of coefficients in ascending order of degree:
+# int coefficients on decision paths, Fraction ones for the Gegenbauer
+# recurrences.
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return coeffs[:i]
-
-
-@dataclass(frozen=True)
-class RatPoly:
-    """Dense univariate polynomial, coefficients ascending by degree."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coeffs(cs: Sequence[Fraction | int]) -> "RatPoly":
-        return RatPoly(_trim(tuple(Fraction(c) for c in cs)))
-
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
-
-    @staticmethod
-    def one() -> "RatPoly":
-        return RatPoly((Fraction(1),))
-
-    @staticmethod
-    def x() -> "RatPoly":
-        return RatPoly((Fraction(0), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(_trim(tuple(out)))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if not self.coeffs or not other.coeffs:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(_trim(tuple(out)))
-
-    def scale(self, k: Fraction | int) -> "RatPoly":
-        k = Fraction(k)
-        if k == 0:
-            return RatPoly(())
-        return RatPoly(tuple(c * k for c in self.coeffs))
+def poly_eval(coeffs: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
+    """Horner evaluation of the ascending coefficient sequence at x."""
+    acc: Fraction | int = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +573,10 @@ def _settle(f: Sequence[int], iv: RootInterval) -> tuple[Optional[int], RootInte
     return int(iv.lo), iv
 
 
-def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] = frozenset({1})) -> RootReport:
-    """Decide whether every root of monic p is rational with denominator in
-    the allowed set; otherwise produce a checkable witness.
+def rational_roots(p: Sequence[Fraction | int], allowed_denominators: frozenset[int] | set[int] = frozenset({1})) -> RootReport:
+    """Decide whether every root of the monic polynomial p (ascending
+    coefficients, leading 1) is rational with denominator in the allowed
+    set; otherwise produce a checkable witness.
 
     allowed_denominators must be {1} or {1, 3}.  After the substitution
     x = y/q the polynomial is monic with integer coefficients, so its
@@ -647,14 +588,14 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
     allowed = frozenset(allowed_denominators)
     if allowed not in (frozenset({1}), frozenset({1, 3})):
         raise ValueError("allowed_denominators must be {1} or {1,3}")
-    if not p.coeffs or p.coeffs[-1] != 1:
+    if not p or p[-1] != 1:
         raise ValueError("p must be monic")
     q = max(allowed)
 
     # substitute x = y/q and clear: roots y of T are q * (roots of p)
-    n = p.degree
+    n = len(p) - 1
     t_coeffs: list[Fraction] = [
-        p.coeffs[i] * Fraction(q) ** (n - i) for i in range(n + 1)
+        p[i] * Fraction(q) ** (n - i) for i in range(n + 1)
     ]
     for i, c in enumerate(t_coeffs):
         if c.denominator != 1:
@@ -729,7 +670,7 @@ def rational_roots(p: RatPoly, allowed_denominators: frozenset[int] | set[int] =
             f"found {len(report_roots)} roots of a degree-{n} polynomial"
         )
     for r in report_roots:
-        if p(r) != 0 or r.denominator not in allowed:
+        if poly_eval(p, r) != 0 or r.denominator not in allowed:
             raise AssertionError(f"reported root {r} fails verification")
     return RootReport(True, report_roots, None)
 

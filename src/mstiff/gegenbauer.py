@@ -4,12 +4,14 @@ Projecting the uniform probability measure on the unit sphere in R^dim onto
 one coordinate gives a measure on [-1, 1] proportional to
 (1 - x^2)^((dim-3)/2) dx.  This module builds the monic orthogonal
 polynomials of that measure by three-term recurrence, evaluates the
-reproducing kernel (whose reciprocal yields quadrature weights), and carries
-the closed-form quadratures for up to five mass points, including the
+reproducing kernel at a point (its reciprocal at a node is the quadrature
+weight there, so no polynomial is ever multiplied), and carries the
+closed-form quadratures for up to five mass points, including the
 quadratic-surd values that appear when dim == 2.
 
-Everything is exact: Fraction scalars, Fraction polynomial coefficients,
-and a + b*sqrt(c) surds with rational a, b.
+Everything is exact: Fraction scalars, polynomials as tuples of Fraction
+coefficients in ascending order, and a + b*sqrt(c) surds with rational
+a, b.
 """
 from __future__ import annotations
 
@@ -18,18 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact_core import (
-    RatPoly,
-    factorize,
-    fraction_square_root,
-)
+from .exact_core import factorize, fraction_square_root, poly_eval
 
 __all__ = [
     "moment",
     "recurrence_coefficient",
     "orthopoly_square_parts",
     "node_square_poly",
-    "kernel_poly",
+    "kernel_value",
     "SymmetricQuadrature",
     "quadrature_from_node_squares",
     "QuadSurd",
@@ -68,34 +66,37 @@ def recurrence_coefficient(i: int, dim: int) -> Fraction:
     return Fraction(i * (i + a2), (2 * i + a2 - 1) * (2 * i + a2 + 1))
 
 
-def orthopoly_square_parts(count: int, dim: int) -> list[tuple[int, RatPoly]]:
+def orthopoly_square_parts(
+    count: int, dim: int
+) -> list[tuple[int, tuple[Fraction, ...]]]:
     """First `count` monic orthogonal polynomials, in the variable t = x^2.
 
-    Entry i is (parity, P) with q_i(x) = P(x^2) for even i and
-    q_i(x) = x * P(x^2) for odd i.  Both shapes keep P monic.
+    Entry i is (parity, P), P a tuple of Fraction coefficients in ascending
+    order of t, with q_i(x) = P(x^2) for even i and q_i(x) = x * P(x^2) for
+    odd i.  Both shapes keep P monic.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    out: list[tuple[int, RatPoly]] = [(0, RatPoly.one())]
+    one = (Fraction(1),)
+    out: list[tuple[int, tuple[Fraction, ...]]] = [(0, one)]
     if count == 1:
         return out
-    out.append((1, RatPoly.one()))
-    t = RatPoly.x()
+    out.append((1, one))
     for i in range(1, count - 1):
         b = recurrence_coefficient(i, dim)
-        prev_parity, prev = out[i - 1]
-        cur_parity, cur = out[i]
-        if cur_parity == 1:
-            nxt = t * cur - prev.scale(b)  # x * (x P) - b Q = t P - b Q
-        else:
-            nxt = cur - prev.scale(b)  # x P - b (x Q) = x (P - b Q)
-        out.append((1 - cur_parity, nxt))
+        (_, prev), (cur_parity, cur) = out[i - 1], out[i]
+        # x * (x P) - b Q = t P - b Q;  x P - b (x Q) = x (P - b Q)
+        nxt = list((Fraction(0),) + cur if cur_parity == 1 else cur)
+        for k, c in enumerate(prev):
+            nxt[k] -= b * c
+        out.append((1 - cur_parity, tuple(nxt)))
     return out
 
 
-def node_square_poly(m: int, dim: int) -> RatPoly:
-    """Monic polynomial in t = x^2 whose roots are the squared nonzero
-    nodes of the m-point quadrature (the zeros of q_m)."""
+def node_square_poly(m: int, dim: int) -> tuple[Fraction, ...]:
+    """Monic polynomial in t = x^2, as ascending Fraction coefficients,
+    whose roots are the squared nonzero nodes of the m-point quadrature
+    (the zeros of q_m)."""
     if m < 1:
         raise ValueError("m must be positive")
     parity, part = orthopoly_square_parts(m + 1, dim)[m]
@@ -104,25 +105,20 @@ def node_square_poly(m: int, dim: int) -> RatPoly:
     return part
 
 
-def kernel_poly(num_terms: int, dim: int) -> RatPoly:
-    """Reproducing kernel sum_{i<num_terms} q_i(x)^2 / <q_i, q_i> as a
-    polynomial in t = x^2.
+def kernel_value(num_terms: int, dim: int, t: Fraction) -> Fraction:
+    """Reproducing kernel sum_{i<num_terms} q_i(x)^2 / <q_i, q_i> at x^2 = t.
 
     Its reciprocal at a node of the num_terms-point rule is that node's
     quadrature weight.
     """
-    parts = orthopoly_square_parts(num_terms, dim)
-    t = RatPoly.x()
     h = Fraction(1)  # <q_0, q_0> under the probability normalization
-    K = RatPoly.zero()
-    for i, (parity, part) in enumerate(parts):
+    total = Fraction(0)
+    for i, (parity, part) in enumerate(orthopoly_square_parts(num_terms, dim)):
         if i >= 1:
             h *= recurrence_coefficient(i, dim)
-        sq = part * part
-        if parity:
-            sq = sq * t
-        K = K + sq.scale(1 / h)
-    return K
+        v = poly_eval(part, t)
+        total += (v * v * t if parity else v * v) / h
+    return total
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,9 @@ def quadrature_from_node_squares(
         raise ValueError(
             f"m={m} needs {expected_pairs} squared nodes, got {len(squares)}"
         )
-    K = kernel_poly(m, dim)
-    pairs = tuple(
-        (Fraction(s), Fraction(1) / K(Fraction(s)))
-        for s in sorted(squares)
-    )
-    center = Fraction(1) / K(Fraction(0)) if m % 2 == 1 else None
+    nodes = sorted(map(Fraction, squares))
+    pairs = tuple((s, 1 / kernel_value(m, dim, s)) for s in nodes)
+    center = 1 / kernel_value(m, dim, Fraction(0)) if m % 2 == 1 else None
     return SymmetricQuadrature(dim, pairs, center)
 
 

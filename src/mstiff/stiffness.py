@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 from .exact_core import (
     _SMALL_PRIME_LIMIT,
     NewtonPolygon,
-    RatPoly,
     RootWitness,
     _least_factor,
     factorize,
@@ -127,18 +126,16 @@ def s_coefficients(m: int, dim: int) -> list[Fraction]:
     return out
 
 
-def s_poly(m: int, dim: int) -> RatPoly:
-    """Monic section polynomial S(X) = X^n - u_1 X^(n-1) + u_2 X^(n-2) - ...
+def s_poly(m: int, dim: int) -> tuple[Fraction, ...]:
+    """Monic section polynomial S(X) = X^n - u_1 X^(n-1) + u_2 X^(n-2) - ...,
+    as a tuple of Fraction coefficients in ascending order of degree.
 
     Its roots are the reciprocals of the squared nonzero section heights.
     """
+    # u_r is the coefficient of X^(n-r), with sign (-1)^r
     us = s_coefficients(m, dim)
-    n = len(us)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    for r, u in enumerate(us, start=1):
-        coeffs[n - r] = u if r % 2 == 0 else -u
-    return RatPoly.from_coeffs(coeffs)
+    signed = [-u if r % 2 else u for r, u in enumerate(us, 1)]
+    return tuple(reversed(signed)) + (Fraction(1),)
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +598,18 @@ class StiffCertificate:
     quadrature: Optional[SymmetricQuadrature] = None
     s_roots: tuple[Fraction, ...] = ()
     equal_weight: Optional[Fraction] = None
-    node_poly: Optional[RatPoly] = None
+    node_poly: Optional[tuple[Fraction, ...]] = None
 
 
-def _root_power_sums(p: RatPoly, count: int) -> list[Fraction]:
-    """Power sums s_1..s_count of the roots of monic p, by the standard
-    recurrence on elementary symmetric functions."""
-    n = p.degree
+def _root_power_sums(p: Sequence[Fraction], count: int) -> list[Fraction]:
+    """Power sums s_1..s_count of the roots of monic p (ascending
+    coefficients), by the standard recurrence on elementary symmetric
+    functions."""
+    n = len(p) - 1
     e = [Fraction(0)] * (n + 1)  # e[i] = i-th elementary symmetric function
     e[0] = Fraction(1)
     for i in range(1, n + 1):
-        e[i] = p.coeffs[n - i] * (-1) ** i
+        e[i] = p[n - i] * (-1) ** i
     sums: list[Fraction] = []
     for j in range(1, count + 1):
         acc = Fraction(0)
@@ -647,7 +645,7 @@ def verify_certificate(cert: StiffCertificate) -> None:
         if cert.equal_weight * cert.m != 1:
             raise ValueError("equal weight must be 1/m")
         n = cert.m // 2
-        if cert.node_poly.degree != n:
+        if len(cert.node_poly) - 1 != n:
             raise ValueError("node polynomial degree mismatch")
         sums = _root_power_sums(cert.node_poly, cert.m - 1)
         for j in range(1, cert.m):

@@ -28,7 +28,7 @@ from mstiff.diophantine import (
     mordell_point_stream,
     pell_representatives,
 )
-from mstiff.gegenbauer import kernel_poly, moment, node_square_poly
+from mstiff.gegenbauer import kernel_value, moment, node_square_poly
 from mstiff.search import classify_degree, classify_dimension
 from mstiff.stiffness import (
     BoundExceeded,
@@ -62,6 +62,13 @@ def criterion(num: int, label: str):
 def _mpf(value) -> mpmath.mpf:
     f = Fraction(value)
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+
+
+def _exact(x: mpmath.mpf) -> Fraction:
+    """The exact binary value of x."""
+    man, exp = x.man_exp
+    f = Fraction(int(man)) * Fraction(2) ** exp
+    return -f if x < 0 else f
 
 
 def _poly_roots(coeffs_ascending) -> list[mpmath.mpf]:
@@ -224,7 +231,7 @@ def test_root_oracle_equivalence():
                 z.real for z in zeros if z.real > mpmath.mpf("1e-30")
             )
             oracle = sorted(1 / (z * z) for z in positive)
-            ours = sorted(_poly_roots(s_poly(m, dim).coeffs))
+            ours = sorted(_poly_roots(s_poly(m, dim)))
             assert len(oracle) == len(ours) == m // 2, (m, dim)
             for a, b in zip(oracle, ours):
                 worst = max(worst, abs(a - b))
@@ -241,12 +248,14 @@ def test_quadrature_invariants():
     for n in range(1, 9):
         for m in (2 * n, 2 * n + 1):
             for dim in range(3, 31):
-                npoly = node_square_poly(m, dim)
-                squares = sorted(_poly_roots(npoly.coeffs))
-                kc = [_mpf(c) for c in reversed(kernel_poly(m, dim).coeffs)]
-                weights = [1 / mpmath.polyval(kc, t) for t in squares]
+                squares = sorted(_poly_roots(node_square_poly(m, dim)))
+                # the library weight, 1 / kernel, at each node's exact value
+                weights = [
+                    _mpf(1 / kernel_value(m, dim, _exact(t)))
+                    for t in squares
+                ]
                 center = (
-                    1 / mpmath.polyval(kc, mpmath.mpf(0))
+                    _mpf(1 / kernel_value(m, dim, Fraction(0)))
                     if m % 2 else None
                 )
                 assert all(w > 0 for w in weights), (m, dim)

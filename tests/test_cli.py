@@ -157,6 +157,7 @@ VALID = {
     "classify --dim": ("classify", "--dim", "5"),
     "classify --deg low": ("classify", "--deg", "2"),
     "classify --deg sweep": ("classify", "--deg", "6", "--max-d", "10"),
+    "classify --deg stream": ("classify", "--deg", "4", "--max-d", "30"),
     "tables": ("tables", "--which", "m4", "--limit", "30"),
     "pell": ("pell", "--D", "6", "--M", "9"),
     "newton": ("newton", "--m", "6", "--d", "6"),
@@ -198,6 +199,16 @@ PSI_13 = "3317044064679887385961981"
     ("bounds", ("--d", "1"), "--d"),
     ("verify", ("--limit", "-1"), "--limit"),
     ("verify", ("--budget", "0"), "--budget"),
+    # flags a classify mode would ignore
+    *(("classify --dim", (flag, value), flag)
+      for flag, value in (("--max-d", "50"), ("--budget", "3"),
+                          ("--workers", "1"), ("--checkpoint", "x.jsonl"))),
+    *((base, ("--max-m", "3"), "--max-m")
+      for base in ("classify --deg low", "classify --deg stream",
+                   "classify --deg sweep")),
+    *(("classify --deg stream", (flag, value), flag)
+      for flag, value in (("--budget", "7"), ("--workers", "1"),
+                          ("--checkpoint", "x.jsonl"))),
 ])
 def test_parser_refuses_bad_arguments(capsys, base, extra, flag):
     code, out, err = run(capsys, *VALID[base], *extra)

@@ -18,13 +18,13 @@ from mstiff.exact_core import (
     _no_root_mod_small_prime,
     _primes_upto,
     NewtonPolygon,
-    RatPoly,
     divisors_from_factors,
     factorize,
     is_probable_prime,
     isolate_real_roots,
     newton_polygon_from_valuations,
     ord_p,
+    poly_eval,
     rational_roots,
     refine_root,
     smooth_part,
@@ -295,26 +295,26 @@ def twin_isolate(f):
 
 # --- polynomials ---------------------------------------------------------
 
-def test_ratpoly_arith_and_eval():
-    p = RatPoly.from_coeffs([6, -5, 1])  # (x-2)(x-3)
-    assert p(2) == 0 and p(3) == 0 and p(0) == 6
-    q = RatPoly.from_coeffs([-1, 1])
-    prod = p * q
-    assert prod(2) == 0 and prod(1) == 0
-    quot, rem = twin_divmod(prod.coeffs, q.coeffs)
-    assert rem == () and quot == p.coeffs
-    assert twin_derivative(p.coeffs) == (Fraction(-5), Fraction(2))
+def test_poly_eval_and_twin_division():
+    p = (6, -5, 1)  # (x-2)(x-3)
+    assert poly_eval(p, 2) == 0 and poly_eval(p, 3) == 0
+    assert poly_eval(p, 0) == 6
+    assert poly_eval((Fraction(1, 2), 1), Fraction(1, 3)) == Fraction(5, 6)
+    q = (-1, 1)
+    prod = tuple(poly_mul(p, q))
+    assert poly_eval(prod, 2) == 0 and poly_eval(prod, 1) == 0
+    quot, rem = twin_divmod(prod, q)
+    assert rem == () and quot == p
+    assert twin_derivative(p) == (Fraction(-5), Fraction(2))
 
 
-def test_ratpoly_gcd_squarefree():
-    x = RatPoly.x()
-    one = RatPoly.one()
-    p = (x - one.scale(2)) * (x - one.scale(2)) * (x + one)
-    sf = RatPoly(twin_squarefree_part(p.coeffs))
-    assert sf.degree == 2
-    assert sf(2) == 0 and sf(-1) == 0
-    assert squarefree_part([int(c) for c in p.coeffs]) == [-2, -1, 1]
-    assert squarefree_part([-3 * int(c) for c in p.coeffs]) == [2, 1, -1]
+def test_twin_gcd_squarefree():
+    p = poly_from_roots([2, 2, -1])  # (x-2)^2 (x+1)
+    sf = twin_squarefree_part(p)
+    assert len(sf) - 1 == 2
+    assert poly_eval(sf, 2) == 0 and poly_eval(sf, -1) == 0
+    assert squarefree_part(p) == [-2, -1, 1]
+    assert squarefree_part([-3 * c for c in p]) == [2, 1, -1]
 
 
 # --- Sturm isolation -----------------------------------------------------
@@ -466,8 +466,7 @@ def test_integer_root_layer_matches_fraction_twin(case):
 
 def test_rational_roots_quadratic_yes():
     # oracle: quadratic formula, disc 144-80=64, roots 2 and 10
-    p = RatPoly.from_coeffs([20, -12, 1])
-    rep = rational_roots(p)
+    rep = rational_roots((20, -12, 1))
     assert rep.all_rational
     assert rep.roots == (Fraction(2), Fraction(10))
 
@@ -478,10 +477,10 @@ def test_rational_roots_verification_survives_optimize_flag():
     # under python -O, where assert statements are stripped
     script = (
         "from fractions import Fraction\n"
-        "from mstiff.exact_core import RatPoly, rational_roots\n"
-        "RatPoly.__call__ = lambda self, x: Fraction(1)\n"
+        "from mstiff import exact_core\n"
+        "exact_core.poly_eval = lambda coeffs, x: Fraction(1)\n"
         "try:\n"
-        "    rational_roots(RatPoly.from_coeffs([-1, 0, 1]))\n"
+        "    exact_core.rational_roots((-1, 0, 1))\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -494,35 +493,33 @@ def test_rational_roots_verification_survives_optimize_flag():
 
 def test_rational_roots_quadratic_no():
     # oracle: disc 144-64=80 not a square, roots 6 +/- 2*sqrt(5)
-    p = RatPoly.from_coeffs([16, -12, 1])
+    p = (16, -12, 1)
     rep = rational_roots(p)
     assert not rep.all_rational
     assert rep.witness is not None
     assert rep.witness.kind == "isolated-interval"
     lo, hi = rep.witness.interval
-    assert p(lo) * p(hi) < 0  # genuinely brackets a root
+    assert poly_eval(p, lo) * poly_eval(p, hi) < 0  # brackets a root
     assert math.floor(hi) < math.ceil(lo) or all(
-        p(Fraction(k)) != 0 for k in range(math.ceil(lo), math.floor(hi) + 1)
+        poly_eval(p, k) != 0 for k in range(math.ceil(lo), math.floor(hi) + 1)
     )
 
 
 def test_rational_roots_multiplicity():
-    p = RatPoly.from_coeffs(poly_from_roots([4, 4, 4, -1]))
-    rep = rational_roots(p)
+    rep = rational_roots(poly_from_roots([4, 4, 4, -1]))
     assert rep.all_rational
     assert rep.roots == (Fraction(-1), Fraction(4), Fraction(4), Fraction(4))
 
 
 def test_rational_roots_zero_roots_stripped():
-    p = RatPoly.from_coeffs([0, 0, -6, 1]) * RatPoly.one()
-    rep = rational_roots(p)
+    rep = rational_roots((0, 0, -6, 1))
     assert rep.all_rational
     assert rep.roots == (Fraction(0), Fraction(0), Fraction(6))
 
 
 def test_rational_roots_denominator_three():
     # (x - 1/3)(x - 2) = x^2 - 7/3 x + 2/3
-    p = RatPoly.from_coeffs([Fraction(2, 3), Fraction(-7, 3), 1])
+    p = (Fraction(2, 3), Fraction(-7, 3), 1)
     rep = rational_roots(p, {1, 3})
     assert rep.all_rational
     assert rep.roots == (Fraction(1, 3), Fraction(2))
@@ -533,22 +530,19 @@ def test_rational_roots_denominator_three():
 
 
 def test_rational_roots_denominator_two_rejected():
-    p = RatPoly.from_coeffs([Fraction(-1, 2), 1])  # root 1/2
-    rep = rational_roots(p, {1, 3})
+    rep = rational_roots((Fraction(-1, 2), 1), {1, 3})  # root 1/2
     assert not rep.all_rational
     assert rep.witness.kind == "non-integral-coefficient"
 
 
 def test_rational_roots_complex_pair():
-    p = RatPoly.from_coeffs([1, 0, 1])  # x^2 + 1
-    rep = rational_roots(p)
+    rep = rational_roots((1, 0, 1))  # x^2 + 1
     assert not rep.all_rational
     assert rep.witness.kind == "complex-roots"
 
 
 def test_rational_roots_golden_ratio():
-    p = RatPoly.from_coeffs([-1, -1, 1])
-    rep = rational_roots(p)
+    rep = rational_roots((-1, -1, 1))
     assert not rep.all_rational
     assert rep.witness.kind == "isolated-interval"
 
@@ -560,8 +554,7 @@ def test_rational_roots_large_degree_isolated_interval():
     big[0] = 1
     big[1] = 1
     big[65] = 1
-    p = RatPoly.from_coeffs(big) * RatPoly.from_coeffs([-2, 1])
-    rep = rational_roots(p)
+    rep = rational_roots(poly_mul(big, [-2, 1]))
     assert not rep.all_rational
     assert rep.witness.kind == "isolated-interval"
     assert_witness_interval_checks(rep.witness, big, {1})
@@ -571,12 +564,12 @@ def test_rational_roots_random_planted():
     rng = random.Random(77)
     for _ in range(15):
         roots = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
-        p = RatPoly.from_coeffs(poly_from_roots(roots))
+        p = poly_from_roots(roots)
         rep = rational_roots(p)
         assert rep.all_rational
         assert list(rep.roots) == sorted(Fraction(r) for r in roots)
         # planting an irrational pair must flip the verdict
-        p2 = p * RatPoly.from_coeffs([-2, 0, 1])
+        p2 = poly_mul(p, [-2, 0, 1])
         rep2 = rational_roots(p2)
         assert not rep2.all_rational
 
@@ -617,8 +610,7 @@ def assert_witness_interval_checks(witness, remainder, allowed):
     lo, hi = witness.interval
     q = max(allowed)
     assert lo < hi
-    assert RatPoly.from_coeffs(remainder)(lo) * RatPoly.from_coeffs(
-        remainder)(hi) < 0
+    assert poly_eval(remainder, lo) * poly_eval(remainder, hi) < 0
     assert math.ceil(lo * q) > math.floor(hi * q)
 
 
@@ -632,10 +624,9 @@ planted = st.tuples(
 def test_rational_roots_matches_divisor_twin(case):
     roots, factor = case
     coeffs = poly_mul(poly_from_roots(roots), factor + [1])
-    p = RatPoly.from_coeffs(coeffs)
     assert abs(coeffs[0]) <= 10**6
     twin_roots, remainder = divisor_twin(coeffs)
-    rep = rational_roots(p)
+    rep = rational_roots(coeffs)
     assert rep.all_rational == (len(remainder) == 1)
     if rep.all_rational:
         assert list(rep.roots) == [Fraction(r) for r in twin_roots]
@@ -670,7 +661,7 @@ def test_root_witness_intervals_of_section_polynomials():
             w = getattr(v.witness, "root_witness", None)
             if w is None or w.kind != "isolated-interval":
                 continue
-            coeffs = s_poly(m, d).coeffs
+            coeffs = s_poly(m, d)
             assert_witness_interval_checks(
                 w, coeffs, stiff_params(m, d).allowed_denominators
             )
@@ -680,9 +671,9 @@ def test_root_witness_intervals_of_section_polynomials():
 
 def test_rational_roots_requires_monic():
     with pytest.raises(ValueError):
-        rational_roots(RatPoly.from_coeffs([1, 2]))
+        rational_roots((1, 2))
     with pytest.raises(ValueError):
-        rational_roots(RatPoly.from_coeffs([1, 0, 1]), {1, 2})
+        rational_roots((1, 0, 1), {1, 2})
 
 
 # --- Newton polygons -----------------------------------------------------

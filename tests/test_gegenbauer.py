@@ -3,19 +3,22 @@
 The moment oracle integrates the weight directly (binomial expansion for
 odd dimensions, symbolic integration spot checks for even ones), so the
 recurrence, kernel, and closed forms are each held against an independent
-route.
+route.  The kernel is also held against its slow twin, which builds the
+kernel polynomial by multiplying the orthogonal polynomials out.
 """
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mstiff.exact_core import RatPoly
+from mstiff.exact_core import poly_eval
 from mstiff.gegenbauer import (
     QuadSurd,
     SymmetricQuadrature,
     closed_form_quadrature,
-    kernel_poly,
+    kernel_value,
     moment,
     node_square_poly,
     orthopoly_square_parts,
@@ -67,17 +70,26 @@ def test_chebyshev_moments():
 
 # --- recurrence and orthogonality ---------------------------------------
 
-def to_x_poly(parity: int, part: RatPoly) -> RatPoly:
-    cs = [Fraction(0)] * (2 * part.degree + 1 + parity)
-    for k, c in enumerate(part.coeffs):
+def poly_mul(a, b):
+    """Product of two ascending coefficient tuples."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def to_x_poly(parity: int, part: tuple) -> tuple:
+    cs = [Fraction(0)] * (2 * (len(part) - 1) + 1 + parity)
+    for k, c in enumerate(part):
         cs[2 * k + parity] = c
-    return RatPoly.from_coeffs(cs)
+    return tuple(cs)
 
 
-def inner(p: RatPoly, q: RatPoly, dim: int) -> Fraction:
-    prod = p * q
+def inner(p: tuple, q: tuple, dim: int) -> Fraction:
+    prod = poly_mul(p, q)
     total = Fraction(0)
-    for i, c in enumerate(prod.coeffs):
+    for i, c in enumerate(prod):
         if i % 2 == 0:
             total += c * moment(i // 2, dim)
     return total
@@ -100,8 +112,8 @@ def test_orthogonality_against_moment_oracle():
 def test_legendre_special_case():
     # dim 3 gives the Lebesgue measure on [-1,1]; classic monic forms
     parts = orthopoly_square_parts(4, 3)
-    assert to_x_poly(*parts[2]).coeffs == (F(-1, 3), F(0), F(1))
-    assert to_x_poly(*parts[3]).coeffs == (F(0), F(-3, 5), F(0), F(1))
+    assert to_x_poly(*parts[2]) == (F(-1, 3), F(0), F(1))
+    assert to_x_poly(*parts[3]) == (F(0), F(-3, 5), F(0), F(1))
 
 
 def test_chebyshev_special_case():
@@ -109,32 +121,73 @@ def test_chebyshev_special_case():
     assert recurrence_coefficient(1, 2) == F(1, 2)
     for i in range(2, 9):
         assert recurrence_coefficient(i, 2) == F(1, 4)
-    assert node_square_poly(2, 2)(F(1, 2)) == 0
+    assert poly_eval(node_square_poly(2, 2), F(1, 2)) == 0
 
 
 # --- kernel values -------------------------------------------------------
 
+def twin_kernel_poly(num_terms: int, dim: int) -> tuple:
+    """Slow twin of kernel_value: sum_i q_i(x)^2 / <q_i, q_i> multiplied out
+    as a polynomial in t = x^2, ascending coefficients."""
+    K = [Fraction(0)] * num_terms  # q_i(x)^2 has degree i in t
+    h = Fraction(1)
+    for i, (parity, part) in enumerate(orthopoly_square_parts(num_terms, dim)):
+        if i >= 1:
+            h *= recurrence_coefficient(i, dim)
+        sq = poly_mul(part, part)
+        if parity:
+            sq = poly_mul(sq, (F(0), F(1)))
+        for k, c in enumerate(sq):
+            K[k] += c / h
+    return tuple(K)
+
+
+def twin_eval(coeffs: tuple, t: Fraction) -> Fraction:
+    return sum((c * t**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
 def test_kernel_frozen_values():
-    assert kernel_poly(4, 23)(F(1, 5)) == F(184, 11)
-    assert kernel_poly(4, 23)(F(1, 45)) == F(184, 81)
-    assert kernel_poly(4, 241)(F(1, 45)) == F(2651, 125)
+    assert kernel_value(4, 23, F(1, 5)) == F(184, 11)
+    assert kernel_value(4, 23, F(1, 45)) == F(184, 81)
+    assert kernel_value(4, 241, F(1, 45)) == F(2651, 125)
 
 
 def test_kernel_three_point_legendre():
     # 3-point rule on the dim-3 projection: nodes 0, +-sqrt(3/5),
     # normalized weights 4/9 and 5/18
-    K = kernel_poly(3, 3)
-    assert K(F(0)) == F(9, 4)
-    assert K(F(3, 5)) == F(18, 5)
+    assert kernel_value(3, 3, F(0)) == F(9, 4)
+    assert kernel_value(3, 3, F(3, 5)) == F(18, 5)
+
+
+node_squares = st.one_of(
+    st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=10**12)
+)
+
+
+@given(st.integers(1, 24), st.integers(2, 10**30), node_squares)
+def test_kernel_value_matches_product_twin(m, dim, t):
+    assert kernel_value(m, dim, t) == twin_eval(twin_kernel_poly(m, dim), t)
+
+
+@given(st.integers(1, 24), st.integers(2, 10**30),
+       st.lists(node_squares, min_size=12, max_size=12))
+def test_weights_are_reciprocal_product_twin(m, dim, ts):
+    squares = ts[: m // 2]
+    K = twin_kernel_poly(m, dim)
+    quad = quadrature_from_node_squares(m, dim, squares)
+    assert quad.pairs == tuple(
+        (s, 1 / twin_eval(K, s)) for s in sorted(squares)
+    )
+    assert quad.center_weight == (1 / twin_eval(K, F(0)) if m % 2 else None)
 
 
 def test_node_square_poly_roots():
     p = node_square_poly(4, 23)
-    assert p(F(1, 5)) == 0 and p(F(1, 45)) == 0
+    assert poly_eval(p, F(1, 5)) == 0 and poly_eval(p, F(1, 45)) == 0
     q = node_square_poly(5, 26)
-    assert q(F(1, 4)) == 0 and q(F(1, 16)) == 0
+    assert poly_eval(q, F(1, 4)) == 0 and poly_eval(q, F(1, 16)) == 0
     r = node_square_poly(5, 124)
-    assert r(F(1, 16)) == 0 and r(F(3, 208)) == 0
+    assert poly_eval(r, F(1, 16)) == 0 and poly_eval(r, F(3, 208)) == 0
 
 
 def test_quadrature_from_node_squares_examples():
