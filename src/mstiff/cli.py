@@ -24,6 +24,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -261,11 +262,7 @@ def _dim_classification_json(c) -> dict:
                 "parity": "odd" if b.odd_deg else "even",
                 "method": b.method,
                 "complete": b.complete,
-                "bound": None if b.bound is None else {
-                    "threshold": b.bound.threshold,
-                    "tag": b.bound.tag,
-                    "conservative": b.bound.conservative,
-                },
+                "bound": None if b.bound is None else asdict(b.bound),
                 "candidates": [
                     {"n": r.n, "m": r.m, "status": r.status}
                     for r in b.candidates
@@ -617,7 +614,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         mode, ignored = "--dim", ("--max-d", *swept)
     else:
         mode, ignored = f"--deg {args.deg}", ("--max-m",)
-        if args.deg in (4, 5):
+        if args.deg <= 5:
             ignored += swept
     for flag in ignored:
         if getattr(args, flag[2:].replace("-", "_")) is not None:

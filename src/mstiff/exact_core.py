@@ -134,10 +134,13 @@ def factorize(n: int) -> dict[int, int]:
     only as certain as `is_probable_prime`: proven below
     `PRIME_PROVEN_BELOW` (psi_13, about 3.3e24).  On that route are
     `QuadSurd.make` (the squarefree part of a surd), `divisor_candidates`
-    (the offset products) and the rough cofactors of a
-    coefficient-screen witness value whose display-only size sits near the
-    bit cap.  The screen's walk itself reads the table in place and splits
-    larger step factors with `smooth_part`.
+    (the offset products, enumerated only for `verify`'s family claims)
+    and the rough cofactors of a coefficient-screen witness value whose
+    display-only size sits near the bit cap.  The offset window bound of
+    `classify_dimension` factors only the small factors of the offset
+    products (each below 2 dim), off the table.  The screen's walk itself
+    reads the table in place and splits larger step factors with
+    `smooth_part`.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

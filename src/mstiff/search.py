@@ -1,19 +1,22 @@
 """Classification pipelines over dimensions and degrees.
 
 Two directions of the same question.  classify_dimension fixes the sphere
-and determines every degree admitting a stiff configuration; depending on
-the dimension class this is a finite divisor-product enumeration (complete
-by a congruence necessity on the top coefficient) or a bounded scan below
-a proven nonexistence threshold.  classify_degree fixes the degree; for
-degrees up to 5 the admissible dimensions are Pell recurrence streams, and
-from degree 6 on the report is explicitly a bounded search (direct scan
-plus candidates pulled from the cubic-point family).  verify_theorem
-recomputes the nonexistence statements behind the threshold table from
-scratch, with the shortcuts switched off.
+and determines every degree admitting a stiff configuration by a bounded
+scan of n = m // 2 below a proven nonexistence threshold; in even
+dimensions the scan also stops at the offset window bound n*, past which
+a congruence necessity on the top coefficient (the offset cascade) fails
+for every n.  classify_degree fixes the degree; for degrees up to 5 the
+admissible dimensions are Pell recurrence streams, and from degree 6 on
+the report is explicitly a bounded search (direct scan plus candidates
+pulled from the cubic-point family).  verify_theorem recomputes the
+nonexistence statements behind the threshold table from scratch, with the
+shortcuts switched off.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,6 +82,23 @@ class DivisorCandidateSet:
     divisor_count: int
 
 
+def _offset_factors(dim: int, odd_deg: bool) -> list[tuple[int, list[int]]]:
+    """(theta, factors c - 2 theta of P_theta) for every denominator factor
+    n + theta of the top coefficient u_n, in the layout of
+    stiffness._closed_top_parts (even dim >= 4); see _offset_products."""
+    if odd_deg:
+        kp = dim // 2
+        w = (kp - 1) // 2
+        thetas = range(w + 1, kp)
+        odds = [2 * s + 1 for s in range(1, kp // 2)]
+    else:
+        k = (dim - 2) // 2
+        w = (k - 1) // 2
+        thetas = range(w + 1, w + k // 2 + 1)
+        odds = [2 * i - 1 for i in range(1, k // 2 + 1)]
+    return [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
+
+
 def _offset_products(dim: int, odd_deg: bool) -> list[tuple[int, int]]:
     """(theta, P_theta) for every denominator factor n + theta of the top
     coefficient u_n, in the layout of stiffness._closed_top_parts (even
@@ -98,18 +118,9 @@ def _offset_products(dim: int, odd_deg: bool) -> list[tuple[int, int]]:
     >= 5: the coefficient screens reject the degree.  P_theta is odd and
     signed; only divisibility matters.
     """
-    if odd_deg:
-        kp = dim // 2
-        w = (kp - 1) // 2
-        thetas = range(w + 1, kp)
-        odds = [2 * s + 1 for s in range(1, kp // 2)]
-    else:
-        k = (dim - 2) // 2
-        w = (k - 1) // 2
-        thetas = range(w + 1, w + k // 2 + 1)
-        odds = [2 * i - 1 for i in range(1, k // 2 + 1)]
     return [
-        (theta, math.prod(c - 2 * theta for c in odds)) for theta in thetas
+        (theta, math.prod(factors))
+        for theta, factors in _offset_factors(dim, odd_deg)
     ]
 
 
@@ -127,6 +138,54 @@ def _offset_cascade_rejects(
         if prod % core:
             return True
     return False
+
+
+def _offset_window_bound(dim: int, odd_deg: bool) -> int:
+    """Least n* such that the offset cascade rejects every n >= n*, for a
+    branch with the divisor-product argument (even dim, >= 10 for even
+    degrees, >= 16 for odd).  Exact integers throughout.
+
+    The offsets theta_min..theta_max are T consecutive integers.  Let
+    F = {2} for even degrees and {2, 3} for odd ones.  A surviving n has
+    the part of n + theta prime to F dividing P_theta for every theta, so:
+    - for p not in F, v_p(n + theta) <= E_p = max_theta v_p(P_theta);
+      among T consecutive integers at most ceil(T / p^j) are divisible by
+      p^j (Legendre's count), so p divides prod(n + theta) at most
+      sum_{j <= E_p} ceil(T / p^j) times;
+    - for p in F, J_p = max_theta v_p(n + theta) has p^{J_p} <= n +
+      theta_max, and the same count gives at most
+      sum_{j <= J_p} ceil(T / p^j) <= floor(T / (p - 1)) + J_p factors p.
+    Hence (n + theta_min)^T <= prod(n + theta) <= K (n + theta_max)^|F|,
+    K = prod_{p not in F} p^{sum ceil(T / p^j)} * prod_{p in F}
+    p^{floor(T / (p - 1))}, fixed by dim.  The left side over
+    (n + theta_max)^|F| increases in n since T > |F|, so the inequality
+    holds on an initial segment of n and n* is the least n where it
+    fails, found by bisection.  E_p is read off the factors c - 2 theta
+    of P_theta (each below 2 dim), never off P_theta itself.
+    """
+    offsets = _offset_factors(dim, odd_deg)
+    free = (2, 3) if odd_deg else (2,)
+    t = len(offsets)
+    top: dict[int, int] = {}  # E_p for p not in F
+    for _, factors in offsets:
+        vals: Counter[int] = Counter()
+        for c in factors:
+            vals.update(factorize(c))
+        for p, e in vals.items():
+            if p not in free and e > top.get(p, 0):
+                top[p] = e
+    k = math.prod(p ** (t // (p - 1)) for p in free)
+    for p, e in top.items():
+        k *= p ** sum(-(-t // p**j) for j in range(1, e + 1))
+    lo_theta, hi_theta = offsets[0][0], offsets[-1][0]
+
+    def holds(n: int) -> bool:
+        return (n + lo_theta) ** t <= k * (n + hi_theta) ** len(free)
+
+    hi = 4
+    while holds(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi), True, 2, key=lambda n: not holds(n))
 
 
 def divisor_candidates(
@@ -195,7 +254,7 @@ class BranchOutcome:
 
     dim: int
     odd_deg: bool
-    method: str  # divisor-product | bounded-scan | stream-check | all-degrees
+    method: str  # bounded-scan | all-degrees (dimension 2)
     complete: bool
     bound: Optional[BoundResult]
     raw_candidates: tuple[int, ...]
@@ -266,79 +325,34 @@ def _decide_candidates(
     return tuple(rows), tuple(existing), tuple(unresolved)
 
 
-def _classify_branch(
-    dim: int, odd_deg: bool, divisor_budget: int
-) -> BranchOutcome:
+def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
+    """Scan n below the paper's threshold and, where the divisor-product
+    argument applies, below the offset window bound n*."""
     bound = n_upper_bound(dim, odd_deg)
-    cand_set = divisor_candidates(dim, odd_deg, divisor_budget)
-    if cand_set is not None:
-        rows, existing, unresolved = _decide_candidates(
-            dim, odd_deg, cand_set.candidates, cascade_below=bound.threshold
-        )
-        return BranchOutcome(
-            dim,
-            odd_deg,
-            "divisor-product",
-            complete=not unresolved,
-            bound=bound,
-            raw_candidates=cand_set.candidates,
-            candidates=rows,
-            existing=existing,
-            unresolved=unresolved,
-            detail=(
-                f"{cand_set.divisor_count} divisors over offsets "
-                f"{cand_set.thetas} left {len(cand_set.candidates)} candidates"
-            ),
-        )
-    if dim % 2 == 0 and (dim >= 16 if odd_deg else dim >= 10):
-        # the divisor-product argument applies but its enumeration blew
-        # the budget; the n = 2 degrees (4 and 5) still get decided, since
-        # their recurrence streams settle every dimension, and the rest of
-        # the branch is reported open rather than guessed at
-        rows, existing, unresolved = _decide_candidates(dim, odd_deg, (2,))
-        return BranchOutcome(
-            dim,
-            odd_deg,
-            "stream-check",
-            complete=False,
-            bound=bound,
-            raw_candidates=(2,),
-            candidates=rows,
-            existing=existing,
-            unresolved=unresolved,
-            detail=(
-                f"divisor enumeration exceeds budget {divisor_budget}; "
-                "only the stream-classified degree was decided"
-            ),
-        )
-    if bound is None:
-        raise AssertionError(f"no nonexistence bound for dimension {dim}")
-    ns = tuple(range(2, bound.threshold))
+    hi, detail = bound.threshold, ""
+    if dim % 2 == 0 and dim >= (16 if odd_deg else 10):
+        n_star = _offset_window_bound(dim, odd_deg)
+        ended = "n*" if n_star < hi else "the threshold"
+        hi = min(hi, n_star)
+        detail = f"; {ended} ended the scan (offset window bound n* = {n_star})"
+    ns = tuple(range(2, hi))
     rows, existing, unresolved = _decide_candidates(
         dim, odd_deg, ns, cascade_below=bound.threshold
     )
     return BranchOutcome(
-        dim,
-        odd_deg,
-        "bounded-scan",
-        complete=not unresolved,
-        bound=bound,
-        raw_candidates=ns,
-        candidates=rows,
-        existing=existing,
-        unresolved=unresolved,
-        detail=f"scanned n in [2, {bound.threshold})",
+        dim, odd_deg, "bounded-scan", not unresolved, bound, ns, rows,
+        existing, unresolved, f"scanned n in [2, {hi}){detail}",
     )
 
 
-def classify_dimension(
-    dim: int, *, divisor_budget: int = 1 << 20
-) -> DimClassification:
+def classify_dimension(dim: int) -> DimClassification:
     """Every degree admitting a stiff configuration in this dimension.
 
-    The result is complete exactly when both parity branches are; an
-    incomplete branch (enumeration budget, undecidable candidates) is
-    reported as such, never silently truncated.
+    Each parity branch scans n = m // 2 below the paper's threshold
+    (`n_upper_bound`) and, in even dimensions with the divisor-product
+    argument, below the offset window bound n* past which the offset
+    cascade rejects every n.  The result is complete exactly when both
+    branches are; an undecidable n leaves its branch incomplete.
     """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
@@ -353,8 +367,8 @@ def classify_dimension(
             raise AssertionError(
                 f"degree {m} must exist in every dimension, not in {dim}"
             )
-    even = _classify_branch(dim, False, divisor_budget)
-    odd = _classify_branch(dim, True, divisor_budget)
+    even = _classify_branch(dim, False)
+    odd = _classify_branch(dim, True)
     degrees = [1, 2, 3] + sorted(even.existing + odd.existing)
     return DimClassification(
         dim,

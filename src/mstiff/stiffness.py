@@ -498,18 +498,28 @@ def _balanced_prod(terms: Sequence[int]) -> int:
     return _balanced_prod(terms[:mid]) * _balanced_prod(terms[mid:])
 
 
-def _divisor_product_params(dim: int, odd_deg: bool) -> Optional[tuple[int, int]]:
-    """(theta, count) for the generic even-dimension threshold, whose
-    value is one plus the product of 2*theta - 2*i + 1 over i = 1..count;
-    None when a dedicated table entry applies instead."""
+# (dim, odd_deg) -> threshold and tag of the even dimensions with a
+# dedicated theorem; every one is tight
+_SMALL_EVEN_DIM_BOUNDS = {
+    (4, False): (6, "power-of-two-roots"),
+    (6, False): (2, "half-integer-slope"),
+    (8, False): (31, "dim8-even-deg"),
+    (4, True): (3, "dim4-odd-deg"),
+    (6, True): (2, "dim6-odd-deg"),
+    (8, True): (2, "dim8-odd-deg"),
+    (10, True): (2, "dim10-odd-deg"),
+    (12, True): (10391, "dim12-odd-deg"),
+    (14, True): (4153, "dim14-odd-deg"),
+}
+
+
+def _divisor_product_params(dim: int, odd_deg: bool) -> tuple[int, int, str]:
+    """(theta, count, tag) of the generic even-dimension threshold, whose
+    value is one plus the product of 2*theta - 2*i + 1 over i = 1..count."""
     k = (dim - 2) // 2
     if not odd_deg:
-        if dim in (4, 6, 8):
-            return None
-        return (k - 1) // 2 + 2, k // 2
-    if dim in (4, 6, 8, 10, 12, 14):
-        return None
-    return k // 2 + 4, (k + 1) // 2
+        return (k - 1) // 2 + 2, k // 2, "even-dim-divisor-product"
+    return k // 2 + 4, (k + 1) // 2, "odd-deg-divisor-product"
 
 
 def n_upper_bound(dim: int, odd_deg: bool) -> Optional[BoundResult]:
@@ -520,38 +530,13 @@ def n_upper_bound(dim: int, odd_deg: bool) -> Optional[BoundResult]:
     if dim == 2:
         return None
     if dim % 2 == 1:
-        if odd_deg:
-            return BoundResult(2 * dim + 9, "odd-dim-valuation", True)
-        return BoundResult(2 * dim + 5, "odd-dim-valuation", True)
-    if not odd_deg:
-        if dim == 4:
-            return BoundResult(6, "power-of-two-roots", False)
-        if dim == 6:
-            return BoundResult(2, "half-integer-slope", False)
-        if dim == 8:
-            return BoundResult(31, "dim8-even-deg", False)
-        theta, count = _divisor_product_params(dim, False)
-        terms = [2 * theta - 2 * i + 1 for i in range(1, count + 1)]
-        return BoundResult(
-            _balanced_prod(terms) + 1, "even-dim-divisor-product", False
-        )
-    if dim == 4:
-        return BoundResult(3, "dim4-odd-deg", False)
-    if dim == 6:
-        return BoundResult(2, "dim6-odd-deg", False)
-    if dim == 8:
-        return BoundResult(2, "dim8-odd-deg", False)
-    if dim == 10:
-        return BoundResult(2, "dim10-odd-deg", False)
-    if dim == 12:
-        return BoundResult(10391, "dim12-odd-deg", False)
-    if dim == 14:
-        return BoundResult(4153, "dim14-odd-deg", False)
-    theta, count = _divisor_product_params(dim, True)
+        return BoundResult(2 * dim + (9 if odd_deg else 5),
+                           "odd-dim-valuation", True)
+    if (dim, odd_deg) in _SMALL_EVEN_DIM_BOUNDS:
+        return BoundResult(*_SMALL_EVEN_DIM_BOUNDS[dim, odd_deg], False)
+    theta, count, tag = _divisor_product_params(dim, odd_deg)
     terms = [2 * theta - 2 * i + 1 for i in range(1, count + 1)]
-    return BoundResult(
-        _balanced_prod(terms) + 1, "odd-deg-divisor-product", True
-    )
+    return BoundResult(_balanced_prod(terms) + 1, tag, odd_deg)
 
 
 def bound_if_exceeded(dim: int, odd_deg: bool, n: int) -> Optional[BoundResult]:
@@ -563,17 +548,15 @@ def bound_if_exceeded(dim: int, odd_deg: bool, n: int) -> Optional[BoundResult]:
     """
     if dim == 2:
         return None
-    params = None if dim % 2 else _divisor_product_params(dim, odd_deg)
-    if params is None:
+    if dim % 2 or (dim, odd_deg) in _SMALL_EVEN_DIM_BOUNDS:
         bound = n_upper_bound(dim, odd_deg)
         return bound if n >= bound.threshold else None
-    theta, count = params
+    theta, count, tag = _divisor_product_params(dim, odd_deg)
     partial = 1
     for i in range(1, count + 1):
         partial *= 2 * theta - 2 * i + 1
         if partial > n:
             return None
-    tag = "odd-deg-divisor-product" if odd_deg else "even-dim-divisor-product"
     return BoundResult(partial + 1, tag, odd_deg) if n > partial else None
 
 

@@ -206,7 +206,8 @@ PSI_13 = "3317044064679887385961981"
     *((base, ("--max-m", "3"), "--max-m")
       for base in ("classify --deg low", "classify --deg stream",
                    "classify --deg sweep")),
-    *(("classify --deg stream", (flag, value), flag)
+    *((base, (flag, value), flag)
+      for base in ("classify --deg stream", "classify --deg low")
       for flag, value in (("--budget", "7"), ("--workers", "1"),
                           ("--checkpoint", "x.jsonl"))),
 ])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from mstiff.search import (
     _decide_candidates,
     _offset_cascade_rejects,
     _offset_products,
+    _offset_window_bound,
     classify_degree,
     classify_dimension,
     divisor_candidates,
@@ -158,6 +160,96 @@ def test_cascade_leaves_degrees_past_the_threshold_to_the_bound():
         assert twin[-1][2] == "bound"
 
 
+# --- offset window bound --------------------------------------------------
+
+def _divisor_branches(top):
+    """(dim, odd_deg) of every branch with the divisor-product argument
+    in even d = 10..top."""
+    return [(dim, odd_deg) for dim in range(10, top + 1, 2)
+            for odd_deg in (False, True) if dim >= 16 or not odd_deg]
+
+
+def _cascade_survivors(dim, odd_deg, ns):
+    offsets = _offset_products(dim, odd_deg)
+    return [n for n in ns if not _offset_cascade_rejects(n, offsets, odd_deg)]
+
+
+def test_scan_survivors_match_the_divisor_route():
+    # slow twin: the divisor route enumerates every divisor of the first
+    # offset products and filters with the cascade; the scan stops at n*
+    for dim, odd_deg in _divisor_branches(86):
+        cand = divisor_candidates(dim, odd_deg)
+        twin = _cascade_survivors(dim, odd_deg, cand.candidates)
+        n_star = _offset_window_bound(dim, odd_deg)
+        scan = _cascade_survivors(dim, odd_deg, range(2, n_star))
+        assert scan == twin, (dim, odd_deg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(5, 200).map(lambda h: 2 * h),
+    odd_deg=st.booleans(),
+    data=st.data(),
+)
+def test_offset_cascade_rejects_every_n_past_the_window_bound(
+    dim, odd_deg, data
+):
+    assume(dim >= 16 or not odd_deg)
+    n_star = _offset_window_bound(dim, odd_deg)
+    n = data.draw(st.integers(n_star, 50 * n_star))
+    assert _offset_cascade_rejects(n, _offset_products(dim, odd_deg), odd_deg)
+
+
+def _legendre_holds(dim, odd_deg):
+    """The predicate on n: prod(n + theta) fits under the Legendre step
+    sums, with E_p from sympy's factorization of the whole offset products
+    and the actual J_p = max{j : p^j <= n + theta_max} for p in F."""
+    offsets = _offset_products(dim, odd_deg)
+    free = (2, 3) if odd_deg else (2,)
+    t = len(offsets)
+
+    def steps(p, top):
+        return sum(-(-t // p**j) for j in range(1, top + 1))
+
+    top = {}
+    for _, prod in offsets:
+        for p, e in sympy.factorint(abs(prod)).items():
+            if p not in free:
+                top[p] = max(top.get(p, 0), e)
+    fixed = math.prod(p ** steps(p, e) for p, e in top.items())
+    thetas = [theta for theta, _ in offsets]
+
+    def holds(n):
+        k = fixed
+        for p in free:
+            j = 0
+            while p ** (j + 1) <= n + thetas[-1]:
+                j += 1
+            k *= p ** steps(p, j)
+        return math.prod(n + theta for theta in thetas) <= k
+
+    return holds
+
+
+def test_window_bound_is_no_tighter_than_the_step_sums():
+    for dim, odd_deg in _divisor_branches(60):
+        n_star = _offset_window_bound(dim, odd_deg)
+        holds = _legendre_holds(dim, odd_deg)
+        held = [n for n in range(2, 4 * n_star) if holds(n)]
+        brute = held[-1] + 1 if held else 2
+        assert brute <= n_star, (dim, odd_deg)
+        # the derivation's premise: every cascade survivor fits the sums
+        survivors = _cascade_survivors(dim, odd_deg, range(2, n_star))
+        assert set(survivors) <= set(held), (dim, odd_deg)
+
+
+def test_window_bound_values():
+    assert [_offset_window_bound(d, False) for d in (10, 26, 86, 120)] == [
+        59, 179, 1851, 4301]
+    assert [_offset_window_bound(d, True) for d in (16, 26, 86, 120)] == [
+        235, 340, 1414, 2751]
+
+
 def _bounded_scan_branches():
     """(dim, odd_deg, threshold) of every bounded-scan branch of odd
     d = 3..199 and of even d = 4, 6, 8, 12 and 14."""
@@ -286,11 +378,21 @@ def test_classify_dimension_10():
     assert c.degrees == (1, 2, 3)
     assert c.complete
     even, odd = c.branches
-    assert even.method == "divisor-product"
-    assert even.raw_candidates == (2, 12)
-    assert [(r.m, r.status) for r in even.candidates] == [
-        (4, "newton-screen"), (24, "coefficient-screen"),
+    # threshold 16 sits below n* = 59, so the threshold ends the scan
+    assert even.method == "bounded-scan"
+    assert even.raw_candidates == tuple(range(2, 16))
+    assert even.detail == (
+        "scanned n in [2, 16); the threshold ended the scan "
+        "(offset window bound n* = 59)"
+    )
+    assert [(r.n, r.m, r.status) for r in even.candidates] == [
+        (n, 2 * n, "newton-screen" if n == 2 else "coefficient-screen")
+        for n in range(2, 16)
     ]
+    # of the divisor candidates (2, 12) only 2 survives the cascade, and so
+    # it does in the scan
+    assert _cascade_survivors(10, False, even.raw_candidates) == [2]
+    assert _cascade_survivors(10, False, (2, 12)) == [2]
     assert odd.method == "bounded-scan"
     assert odd.raw_candidates == ()  # threshold 2 leaves nothing to scan
 
@@ -300,7 +402,11 @@ def test_classify_dimension_26():
     assert c.degrees == (1, 2, 3, 5)
     assert c.complete
     even, odd = c.branches
-    assert even.method == "divisor-product" and odd.method == "divisor-product"
+    assert even.method == "bounded-scan" and odd.method == "bounded-scan"
+    for b, n_star in ((even, 179), (odd, 340)):
+        assert b.raw_candidates == tuple(range(2, n_star))
+        assert b.detail == (f"scanned n in [2, {n_star}); n* ended the scan "
+                            f"(offset window bound n* = {n_star})")
     assert even.existing == ()
     assert odd.existing == (5,)
     by_n = {r.n: r.status for r in odd.candidates}
@@ -313,15 +419,17 @@ def test_classify_dimension_241_has_both_streams():
     assert c.complete
 
 
-def test_classify_dimension_124_over_budget_still_finds_degree5():
+def test_classify_dimension_124_is_complete_with_degree5():
     # the offset products for dimension 124 have tens of millions of
-    # divisors; the branch must stay open yet still decide degrees 4/5
+    # divisors; the scan below n* never enumerates them
     c = classify_dimension(124)
     assert c.degrees == (1, 2, 3, 5)
-    assert not c.complete
-    for branch in c.branches:
-        assert branch.method == "stream-check"
-        assert "exceeds budget" in branch.detail
+    assert c.complete
+    for branch, n_star in zip(c.branches, (4161, 2542)):
+        assert branch.method == "bounded-scan" and branch.complete
+        assert branch.raw_candidates == tuple(range(2, n_star))
+        assert branch.detail.startswith(f"scanned n in [2, {n_star}); n* ")
+    assert c.branches[0].existing == ()
     assert c.branches[1].existing == (5,)
 
 
