@@ -138,9 +138,11 @@ def factorize(n: int) -> dict[int, int]:
     and the rough cofactors of a coefficient-screen witness value whose
     display-only size sits near the bit cap.  The offset window bound of
     `classify_dimension` factors only the small factors of the offset
-    products (each below 2 dim), off the table.  The screen's walk itself
-    reads the table in place and splits larger step factors with
-    `smooth_part`.
+    products (each below 2 dim), off the table.  The coefficient screen
+    decides most cells by exact division of one carried integer and
+    factors nothing; its factored walk, which renders witnesses and
+    finishes deep walks, reads the table in place and splits larger step
+    factors with `smooth_part`.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

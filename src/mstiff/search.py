@@ -294,10 +294,12 @@ def _decide_candidates(
     """Decide each degree parameter in ns with stiff_exists.
 
     Each n < cascade_below meets the offset cascade (even dim only) and,
-    within the full-screen budget, the screen walk (`screen_rejects`).  A
-    rejection by either is the coefficient-screen verdict stiff_exists
-    would give, since no bound applies below the threshold and the
-    cascade, top and full screens never contradict each other.
+    within the full-screen budget, the coefficient screen
+    (`screen_rejects`, decided by exact division of one carried integer,
+    so nothing is factored and no witness is built).  A rejection by
+    either is the coefficient-screen verdict stiff_exists would give,
+    since no bound applies below the threshold and the cascade, top and
+    full screens never contradict each other.
     """
     rows = []
     existing = []
@@ -618,9 +620,10 @@ def _verify_branch_claim(
                 f"scan truncated at {below_cap} < {bound.threshold}: "
                 "claim not fully verified"
             )
-        if window > 0:
-            _scan_window(spec.dim, spec.odd_deg, bound.threshold, window,
-                         checks)
+        if window > 0 and not _scan_window(
+            spec.dim, spec.odd_deg, bound.threshold, window, checks
+        ):
+            ok = False
     claim = (
         f"dimension {spec.dim}, {'odd' if spec.odd_deg else 'even'} degrees: "
         f"none exist with m//2 >= {bound.threshold if bound else '?'}"

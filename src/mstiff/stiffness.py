@@ -224,14 +224,59 @@ def _expand(
     return Fraction(num * math.prod(rough), den)
 
 
+# bit length past which the carried walk hands a cell to the factored one:
+# each carried step costs O(bits), so a deep walk that passes most of the
+# screen is cheaper in factored form
+_CARRY_BIT_LIMIT = 1 << 12
+_HANDED_OVER = 0
+
+
+def _carried_bad_step(p: StiffParams) -> Optional[int]:
+    """The index r of the first u_r with a forbidden denominator prime,
+    None when u_1..u_n have none, or _HANDED_OVER (0) when the carried
+    integer outgrew _CARRY_BIT_LIMIT bits first.
+
+    Step r multiplies u_{r-1} by a_r = (n-r+1)(shift+2r-2) and divides it
+    by b_r = r(2r-2+step), with u_0 = 1.  Let b'_r be b_r with its factors
+    3 removed for odd degrees (b'_r = b_r for even ones), k_r the number
+    of 3s removed in steps 1..r, and N_r = u_r * 3^k_r, so N_0 = 1 and
+    N_r = N_{r-1} a_r / b'_r.  For every prime q other than 3, and for 3
+    too when the degree is even, v_q(N_r) = v_q(u_r); for odd degrees
+    v_3(N_r) is the number of 3s in a_1..a_r, never negative.  So N_r is
+    an integer exactly when no forbidden prime divides the denominator of
+    u_r.  If N_{r-1} is an integer, step r is bad iff b'_r does not divide
+    N_{r-1} a_r; otherwise the quotient is N_r.  The first r with a
+    remainder is the first bad step, the same r as `_first_bad_step`,
+    found with no factoring and no primality test.  N grows with u_r and
+    each step costs O(bits), so past the bit limit the factored walk,
+    whose steps cost the same at any depth, decides instead."""
+    n, shift, step = p.n, p.shift, p.denominator_step
+    odd, limit = p.odd, _CARRY_BIT_LIMIT
+    carried = 1
+    for r in range(1, n + 1):
+        b = r * (2 * r - 2 + step)
+        if odd:
+            while b % 3 == 0:
+                b //= 3
+        carried *= (n - r + 1) * (shift + 2 * r - 2)
+        if carried % b:
+            return r
+        carried //= b
+        if carried.bit_length() > limit:
+            return _HANDED_OVER
+    return None
+
+
 def _first_bad_step(
     p: StiffParams,
 ) -> Optional[tuple[int, dict[int, int], list[int]]]:
     """(r, exps, rough) for the first u_r with a forbidden denominator
-    prime, or None.  u_r = prod(q^exps[q]) * prod(rough), exps exact for
-    every prime up to B = 2n-2+step, no prime up to B in a rough cofactor.
-    Step r multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step);
-    a factor below 2^16 is split by reading the least-factor table in
+    prime, or None: the factored walk, which renders the witness at the
+    step `_carried_bad_step` found and decides the cells it hands over.
+    u_r = prod(q^exps[q]) * prod(rough), exps exact for every prime up to
+    B = 2n-2+step, no prime up to B in a rough cofactor.  Step r
+    multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step); a
+    factor below 2^16 is split by reading the least-factor table in
     place, a larger one by `smooth_part` (exact for the three factors of
     at most B).  No primality test is made."""
     n, shift, step = p.n, p.shift, p.denominator_step
@@ -273,27 +318,34 @@ def _first_bad_step(
 
 def screen_rejects(m: int, dim: int) -> bool:
     """screen_coefficients(m, dim).witness is not None, without building
-    the witness or the valuations."""
-    return _first_bad_step(stiff_params(m, dim)) is not None
+    the witness or the valuations: the carried walk decides, and the
+    factored walk only the cells it hands over."""
+    p = stiff_params(m, dim)
+    r = _carried_bad_step(p)
+    if r == _HANDED_OVER:
+        return _first_bad_step(p) is not None
+    return r is not None
 
 
 def screen_coefficients(
     m: int, dim: int, track_primes: Sequence[int] = (2, 3, 5)
 ) -> ScreenReport:
-    """Walk u_1..u_n in factored form (`_first_bad_step`) up to the first
-    coefficient with a forbidden denominator; on success, return the
-    tracked valuations, so a Newton screen expands no coefficient.
+    """Find the first coefficient u_r with a forbidden denominator and
+    report it, or, on success, return the tracked valuations, so a Newton
+    screen expands no coefficient.
 
-    Only step r's divisor can bring in a new denominator prime, so the
-    witness prime is the least forbidden prime with a negative exponent
-    at step r.  The tracked valuations are counted from the step factors
-    after a walk without a witness, so a tracked prime past B needs no
-    sieve up to it.  track_primes must be primes.  Odd degrees allow 3 in
-    the denominator: u_r is C(n, r) times the rising product over
-    3*5*...*(2r+1), whose ord_3 is at most r, all the denominator 3^r of
-    the roots can absorb."""
+    The carried walk (`_carried_bad_step`) decides; the factored walk
+    (`_first_bad_step`) runs only to render a witness at the step it
+    found, or to decide a cell it hands over.  Only step r's divisor can
+    bring in a new denominator prime, so the witness prime is the least
+    forbidden prime with a negative exponent at step r.  The tracked
+    valuations are counted from the step factors after a walk without a
+    witness, so a tracked prime past B needs no sieve up to it.
+    track_primes must be primes.  Odd degrees allow 3 in the denominator:
+    u_r is C(n, r) times the rising product over 3*5*...*(2r+1), whose
+    ord_3 is at most r, all the denominator 3^r of the roots can absorb."""
     p = stiff_params(m, dim)
-    hit = _first_bad_step(p)
+    hit = None if _carried_bad_step(p) is None else _first_bad_step(p)
     if hit is not None:
         r, exps, rough = hit
         bad = min(q for q, e in exps.items()

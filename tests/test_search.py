@@ -514,6 +514,26 @@ def test_verify_dim8_and_truncation():
     assert any("truncated" in line for line in truncated.checks)
 
 
+def test_verify_fails_a_branch_claim_when_the_window_finds_a_degree(
+    monkeypatch,
+):
+    # a degree reported above the threshold contradicts the claim, so the
+    # report fails, as a family claim's does under the same patch
+    scan = search._scan_branch
+
+    def scan_with_a_window_hit(dim, odd_deg, lo, hi, checks, label):
+        existing = scan(dim, odd_deg, lo, hi, checks, label)
+        if label.startswith("window"):
+            existing.add(2 * lo)
+        return existing
+
+    monkeypatch.setattr(search, "_scan_branch", scan_with_a_window_hit)
+    for tag in ("dim4-even-deg", "odd-dim-valuation"):
+        report = verify_theorem(tag, window=3)
+        assert report.passed is False, tag
+        assert "contradicts the claim" in report.checks[-1]
+
+
 def test_verify_divisor_product_branches():
     report = verify_theorem("thm-3.6")  # alias of dim10-even-deg
     assert report.tag == "dim10-even-deg"

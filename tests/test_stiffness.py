@@ -216,6 +216,50 @@ def test_screen_rejects_matches_its_witness_twin_for_large_dimensions(m, dim):
     assert_rejects_matches_witness(m, dim)
 
 
+# bit limits for the carried walk: 0 hands every walk that passes step 1
+# to the factored walk, NO_HANDOVER keeps every walk of these sizes carried
+NO_HANDOVER = 1 << 30
+CARRY_LIMITS = (0, 16, 256, stiffness._CARRY_BIT_LIMIT, NO_HANDOVER)
+
+
+def assert_carried_walk_matches_factored(m, dim, limit):
+    hit = stiffness._first_bad_step(stiff_params(m, dim))
+    factored = hit[0] if hit else None
+    report = screen_coefficients(m, dim)
+    with patch.object(stiffness, "_CARRY_BIT_LIMIT", limit):
+        carried = stiffness._carried_bad_step(stiff_params(m, dim))
+        rejects = screen_rejects(m, dim)
+        assert screen_coefficients(m, dim) == report, (m, dim, limit)
+    if carried == stiffness._HANDED_OVER:
+        assert limit < NO_HANDOVER, (m, dim)
+    else:
+        assert carried == factored, (m, dim, limit)
+    assert rejects == (factored is not None), (m, dim, limit)
+
+
+@given(st.integers(2, 400), st.integers(3, 600),
+       st.sampled_from(CARRY_LIMITS))
+@example(2**17 + 1, 4, stiffness._CARRY_BIT_LIMIT)  # hands over by itself
+def test_carried_walk_matches_the_factored_walk(m, dim, limit):
+    # both degree parities, on both sides of the handover
+    assert_carried_walk_matches_factored(m, dim, limit)
+
+
+@given(st.integers(2, 40), st.integers(3, 10**25),
+       st.sampled_from(CARRY_LIMITS))
+def test_carried_walk_matches_the_factored_walk_for_large_dimensions(
+    m, dim, limit
+):
+    assert_carried_walk_matches_factored(m, dim, limit)
+
+
+def test_deep_walk_hands_over_to_the_factored_walk():
+    # u_r outgrows the bit limit long before the bad step 2^15
+    p = stiff_params(2**17 + 1, 4)
+    assert stiffness._carried_bad_step(p) == stiffness._HANDED_OVER
+    assert stiffness._first_bad_step(p)[0] == 2**15
+
+
 @settings(max_examples=40)
 @given(st.integers(2**15, 2**17), st.booleans(), st.integers(3, 600))
 @example(2**15, False, 4)  # no witness: every divisor stays below 2^16
@@ -279,6 +323,9 @@ def test_screen_tracks_a_prime_far_past_its_bound(
         return original(bound)
 
     monkeypatch.setattr(exact_core, "_primes_upto", spy)
+    # the carried walk would decide these cells without a sieve; a limit
+    # of 0 hands each one to the factored walk this test is about
+    monkeypatch.setattr(stiffness, "_CARRY_BIT_LIMIT", 0)
     track = (2, 7, FAR)
     assert screen_coefficients(m, dim, track).valuations[FAR] == far_exponents
     assert bounds
