@@ -333,10 +333,18 @@ def _digest(verdict: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+# the verdict words a sweep cell can record (see _sweep_cell)
+_CELL_VERDICTS = ("exists", "not_exists", "undecided")
+
+
 def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
     """Cell verdicts keyed by dimension; raises StateError when corrupt.
 
-    A crash mid-append leaves one unterminated final line.  If it does not
+    Each line must be a JSON object with every record field, of this
+    sweep's kind, version and degree, with its digest, and with a verdict
+    object whose m and d are the integers of its cell and whose verdict
+    word is one `_sweep_cell` writes; anything else names its line.  A
+    crash mid-append leaves one unterminated final line.  If it does not
     parse, it is dropped and cut from the file; if it does, the file gets
     its newline.  Either way the next append starts on a fresh line."""
     replayed: dict[int, dict] = {}
@@ -370,6 +378,11 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
             raise StateError(
                 f"checkpoint {path} line {lineno}: invalid JSON ({e.msg})"
             ) from e
+        if not isinstance(obj, dict):
+            raise StateError(
+                f"checkpoint {path} line {lineno}: record is not a JSON "
+                "object"
+            )
         missing = {"kind", "cell", "verdict", "digest", "ts", "version"} \
             - set(obj)
         if missing:
@@ -390,7 +403,7 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
         cell = obj["cell"]
         if (
             not isinstance(cell, list) or len(cell) != 2
-            or not all(isinstance(v, int) for v in cell)
+            or not all(type(v) is int for v in cell)
         ):
             raise StateError(
                 f"checkpoint {path} line {lineno}: malformed cell {cell!r}"
@@ -405,7 +418,18 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
                 f"checkpoint {path} line {lineno}: digest mismatch "
                 "(record corrupt)"
             )
-        replayed[cell[1]] = obj["verdict"]
+        verdict = obj["verdict"]
+        if (
+            not isinstance(verdict, dict)
+            or [verdict.get("m"), verdict.get("d")] != cell
+            or [type(verdict["m"]), type(verdict["d"])] != [int, int]
+            or verdict.get("verdict") not in _CELL_VERDICTS
+        ):
+            raise StateError(
+                f"checkpoint {path} line {lineno}: verdict is not an "
+                f"{'/'.join(_CELL_VERDICTS)} record of cell {cell}"
+            )
+        replayed[cell[1]] = verdict
     return replayed
 
 

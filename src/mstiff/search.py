@@ -18,6 +18,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 from .diophantine import (
@@ -36,7 +37,7 @@ from .stiffness import (
     StiffVerdict,
     UndecidedError,
     n_upper_bound,
-    screen_rejects,
+    scan_rejects,
     stiff_exists,
 )
 
@@ -291,27 +292,44 @@ def verdict_stage(verdict: StiffVerdict) -> str:
 def _decide_candidates(
     dim: int, odd_deg: bool, ns: tuple[int, ...], cascade_below: int = 0
 ) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
-    """Decide each degree parameter in ns with stiff_exists.
+    """Decide each degree parameter in ns, in order.
 
-    Each n < cascade_below meets the offset cascade (even dim only) and,
-    within the full-screen budget, the coefficient screen
-    (`screen_rejects`, decided by exact division of one carried integer,
-    so nothing is factored and no witness is built).  A rejection by
-    either is the coefficient-screen verdict stiff_exists would give,
-    since no bound applies below the threshold and the cascade, top and
-    full screens never contradict each other.
+    The n < cascade_below are screened first, with no stiff_exists call:
+    in even dimensions each meets the offset cascade once, and the
+    survivors within the full-screen budget go to the coefficient screen
+    in one batch (`scan_rejects`, exact division of one carried integer
+    per cell, so nothing is factored and no witness is built).  A
+    rejection by either is the coefficient-screen verdict stiff_exists
+    would give, since no bound applies below the threshold and the
+    cascade, top and full screens never contradict each other.  Neither
+    screen consults a proven threshold, the shortcuts verify switches off;
+    every other n is decided by stiff_exists, thresholds included.
     """
+    offsets = (
+        _offset_products(dim, odd_deg) if cascade_below and dim % 2 == 0
+        else []
+    )
+    # per n, aligned with ns: True when the cascade rejects it, None when
+    # the coefficient screen decides it, False when stiff_exists does
+    hits: list[Optional[bool]] = []
+    walk = []
+    for n in ns:
+        if n >= cascade_below:
+            hits.append(False)
+        elif offsets and _offset_cascade_rejects(n, offsets, odd_deg):
+            hits.append(True)
+        elif n <= _FULL_SCREEN_CAP:
+            hits.append(None)
+            walk.append(n)
+        else:
+            hits.append(False)
+    walked = iter(scan_rejects(dim, odd_deg, walk))
     rows = []
     existing = []
     unresolved = []
-    cascade = cascade_below and dim % 2 == 0
-    offsets = _offset_products(dim, odd_deg) if cascade else []
-    for n in ns:
+    for n, hit in zip(ns, hits):
         m = 2 * n + 1 if odd_deg else 2 * n
-        if n < cascade_below and (
-            _offset_cascade_rejects(n, offsets, odd_deg)
-            or (n <= _FULL_SCREEN_CAP and screen_rejects(m, dim))
-        ):
+        if hit or (hit is None and next(walked)):
             rows.append(CandidateOutcome(n, m, "coefficient-screen"))
             continue
         try:
@@ -575,8 +593,21 @@ def _scan_branch(
     checks: list[str],
     label: str,
 ) -> set[int]:
+    """Degrees of this parity admitting a configuration, over n in
+    [lo, hi), decided without shortcuts: no proven nonexistence threshold
+    is consulted.  The coefficient screen decides first (`scan_rejects`,
+    in one batch over the n within the full-screen budget, dim >= 3), and
+    every n it does not reject goes to stiff_exists(..., use_bounds=False).
+    A screen rejection is the NotExists that stiff_exists would give: a
+    top-coefficient rejection, which stiff_exists may reach first, implies
+    a full-screen one, so the existing set is the same either way."""
+    # dimension 2 admits every degree, whatever its coefficients
+    walk = range(lo, min(hi, _FULL_SCREEN_CAP + 1) if dim > 2 else lo)
+    screened = chain(scan_rejects(dim, odd_deg, walk), repeat(False))
     existing = set()
-    for n in range(lo, hi):
+    for n, rejected in zip(range(lo, hi), screened):
+        if rejected:
+            continue
         m = 2 * n + 1 if odd_deg else 2 * n
         verdict = stiff_exists(m, dim, use_bounds=False)
         if verdict.exists:
@@ -701,6 +732,12 @@ def verify_theorem(
     tag: str, *, window: int = 25, below_cap: Optional[int] = None
 ) -> TheoremReport:
     """Recheck a nonexistence statement with shortcuts disabled.
+
+    The shortcuts are the proven nonexistence thresholds (`n_upper_bound`,
+    the claims under test); no scan consults them.  Every scanned n meets
+    the coefficient screen first (`scan_rejects`), and only the n it does
+    not reject go to stiff_exists(..., use_bounds=False), so each check
+    line's existing degrees are those of the full decision.
 
     window: how many n past the threshold to sample (skipped for family
     members whose threshold is too large to scan).  below_cap truncates

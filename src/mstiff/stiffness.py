@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .exact_core import (
     _SMALL_PRIME_LIMIT,
@@ -47,7 +47,7 @@ __all__ = [
     "NonIntegerCoefficient",
     "ScreenReport",
     "screen_coefficients",
-    "screen_rejects",
+    "scan_rejects",
     "top_coefficient_screen",
     "newton_screen",
     "IrrationalRoot",
@@ -230,11 +230,36 @@ def _expand(
 _CARRY_BIT_LIMIT = 1 << 12
 _HANDED_OVER = 0
 
+# the step divisors b'_0..b'_R of each degree parity (b'_0 = 0 is unused),
+# grown by doubling as deeper walks need them; a grown tuple replaces the
+# old one whole, so a walk holding the old one still reads right values
+_STEP_DIVISORS: dict[bool, tuple[int, ...]] = {False: (0,), True: (0,)}
 
-def _carried_bad_step(p: StiffParams) -> Optional[int]:
-    """The index r of the first u_r with a forbidden denominator prime,
-    None when u_1..u_n have none, or _HANDED_OVER (0) when the carried
-    integer outgrew _CARRY_BIT_LIMIT bits first.
+
+def _step_divisors(odd: bool, count: int) -> tuple[int, ...]:
+    """b'_0..b'_R for this degree parity, R >= count: b'_r is
+    b_r = r(2r-2+step) with its factors 3 removed for odd degrees (step
+    3), and b_r itself for even ones (step 1).  They depend on r and the
+    parity alone, so one tuple per parity serves every cell."""
+    divs = _STEP_DIVISORS[odd]
+    if len(divs) > count:
+        return divs
+    step = 3 if odd else 1
+    more = []
+    for r in range(len(divs), max(count + 1, 2 * len(divs), 64)):
+        b = r * (2 * r - 2 + step)
+        if odd:
+            while b % 3 == 0:
+                b //= 3
+        more.append(b)
+    divs = _STEP_DIVISORS[odd] = divs + tuple(more)
+    return divs
+
+
+def _carried_walk(n: int, shift: int, odd: bool, limit: int) -> Optional[int]:
+    """The screen kernel on plain integers: the index r of the first u_r
+    with a forbidden denominator prime, None when u_1..u_n have none, or
+    _HANDED_OVER (0) when the carried integer outgrew `limit` bits first.
 
     Step r multiplies u_{r-1} by a_r = (n-r+1)(shift+2r-2) and divides it
     by b_r = r(2r-2+step), with u_0 = 1.  Let b'_r be b_r with its factors
@@ -249,22 +274,32 @@ def _carried_bad_step(p: StiffParams) -> Optional[int]:
     remainder is the first bad step, the same r as `_first_bad_step`,
     found with no factoring and no primality test.  N grows with u_r and
     each step costs O(bits), so past the bit limit the factored walk,
-    whose steps cost the same at any depth, decides instead."""
-    n, shift, step = p.n, p.shift, p.denominator_step
-    odd, limit = p.odd, _CARRY_BIT_LIMIT
+    whose steps cost the same at any depth, decides instead.  The b'_r
+    come from `_step_divisors`, grown only as far as a walk reaches, so
+    no call pays for steps it does not take."""
+    divs = _STEP_DIVISORS[odd]
     carried = 1
     for r in range(1, n + 1):
-        b = r * (2 * r - 2 + step)
-        if odd:
-            while b % 3 == 0:
-                b //= 3
         carried *= (n - r + 1) * (shift + 2 * r - 2)
+        try:
+            b = divs[r]
+        except IndexError:
+            divs = _step_divisors(odd, r)
+            b = divs[r]
         if carried % b:
             return r
         carried //= b
         if carried.bit_length() > limit:
             return _HANDED_OVER
     return None
+
+
+def _carried_bad_step(p: StiffParams) -> Optional[int]:
+    """`_carried_walk` for one cell, at the current _CARRY_BIT_LIMIT: the
+    first bad step, None, or _HANDED_OVER.  `screen_coefficients` decides
+    by it before it renders anything; like every caller of the kernel, it
+    consults no proven nonexistence threshold."""
+    return _carried_walk(p.n, p.shift, p.odd, _CARRY_BIT_LIMIT)
 
 
 def _first_bad_step(
@@ -318,13 +353,39 @@ def _first_bad_step(
 
 def screen_rejects(m: int, dim: int) -> bool:
     """screen_coefficients(m, dim).witness is not None, without building
-    the witness or the valuations: the carried walk decides, and the
-    factored walk only the cells it hands over."""
+    the witness or the valuations: `scan_rejects` on the one cell.  No
+    proven threshold is consulted, so a rejection (dim >= 3) certifies
+    nonexistence on its own."""
     p = stiff_params(m, dim)
-    r = _carried_bad_step(p)
-    if r == _HANDED_OVER:
-        return _first_bad_step(p) is not None
-    return r is not None
+    return scan_rejects(dim, p.odd, (p.n,))[0]
+
+
+def scan_rejects(dim: int, odd_deg: bool, ns: Iterable[int]) -> list[bool]:
+    """For each n in ns, whether the coefficient screen rejects degree
+    m = 2n + 1 (odd_deg) or 2n in this dimension, in the order of ns: the
+    batch form of `screen_rejects`, for the scans over n of one parity
+    branch.  Each cell runs `_carried_walk` on plain integers, with no
+    StiffParams and the step divisors shared by the whole branch; only a
+    walk the carried integer hands over goes to the factored walk.
+
+    The dimension scans and verify's scans without shortcuts (the proven
+    nonexistence thresholds) call it before any stiff_exists: it uses no
+    threshold, and a rejection (dim >= 3) is the coefficient-screen
+    NotExists stiff_exists would give, since the top-coefficient screen
+    stiff_exists may try first rejects only what the full screen does."""
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
+    limit, walk = _CARRY_BIT_LIMIT, _carried_walk
+    base = dim - 2 + (2 if odd_deg else 0)  # shift = base + 2n
+    out = []
+    for n in ns:
+        r = walk(n, base + 2 * n, odd_deg, limit)
+        if r == _HANDED_OVER:
+            m = 2 * n + 1 if odd_deg else 2 * n
+            out.append(_first_bad_step(stiff_params(m, dim)) is not None)
+        else:
+            out.append(r is not None)
+    return out
 
 
 def screen_coefficients(

@@ -440,6 +440,85 @@ def test_checkpoint_corruption_is_a_state_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def _resume_with_record(tmp_path, capsys, edit):
+    """Exit code and stderr of a degree-6 sweep to d = 5 resumed from its
+    own checkpoint after edit(record) rewrote the d = 3 record, with the
+    digest recomputed, as a forger would."""
+    ck = tmp_path / "sweep.jsonl"
+    argv = ("classify", "--deg", "6", "--max-d", "5", "--format", "json",
+            "--checkpoint", str(ck))
+    run(capsys, *argv)
+    lines = ck.read_text().splitlines()
+    record = edit(json.loads(lines[0]))
+    if isinstance(record, dict) and "verdict" in record:
+        record["digest"] = cli._digest(record["verdict"])
+    ck.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    return code, err
+
+
+def test_checkpoint_record_that_is_not_an_object_is_a_state_error(
+    tmp_path, capsys
+):
+    code, err = _resume_with_record(tmp_path, capsys, lambda record: 5)
+    assert code == 4
+    assert "line 1: record is not a JSON object" in err
+
+
+def test_checkpoint_verdict_that_is_not_an_object_is_a_state_error(
+    tmp_path, capsys
+):
+    code, err = _resume_with_record(
+        tmp_path, capsys, lambda record: {**record, "verdict": 5})
+    assert code == 4
+    assert "line 1: verdict is not an exists/not_exists/undecided " \
+        "record of cell [6, 3]" in err
+
+
+def test_checkpoint_verdict_without_its_dimension_is_a_state_error(
+    tmp_path, capsys
+):
+    def drop_d(record):
+        del record["verdict"]["d"]
+        return record
+
+    code, err = _resume_with_record(tmp_path, capsys, drop_d)
+    assert code == 4
+    assert "line 1: verdict is not" in err
+
+
+def test_checkpoint_verdict_for_another_cell_is_a_state_error(
+    tmp_path, capsys
+):
+    # a record of cell [6, 3] must not replay as an admissible d = 7
+    def move(record):
+        record["verdict"].update(d=7, verdict="exists")
+        return record
+
+    code, err = _resume_with_record(tmp_path, capsys, move)
+    assert code == 4
+    assert "line 1: verdict is not" in err and "cell [6, 3]" in err
+
+
+def test_checkpoint_unknown_verdict_word_is_a_state_error(tmp_path, capsys):
+    def reword(record):
+        record["verdict"]["verdict"] = "maybe"
+        return record
+
+    code, err = _resume_with_record(tmp_path, capsys, reword)
+    assert code == 4
+    assert "line 1: verdict is not" in err
+
+
+def test_checkpoint_boolean_cell_is_a_state_error(tmp_path, capsys):
+    # True is an int to isinstance, but never a degree
+    code, err = _resume_with_record(
+        tmp_path, capsys, lambda record: {**record, "cell": [True, 3]})
+    assert code == 4
+    assert "line 1: malformed cell [True, 3]" in err
+
+
 def test_checkpoint_torn_last_line_is_dropped_on_resume(tmp_path, capsys):
     ck = tmp_path / "sweep.jsonl"
     _, fresh, _ = run(capsys, "classify", "--deg", "6", "--max-d", "10",

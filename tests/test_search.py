@@ -287,6 +287,43 @@ def test_scan_rows_past_the_full_screen_cap_stay_unresolved(monkeypatch):
     assert "unresolved" in _assert_scan_rows_match_stiff_exists()
 
 
+def test_scan_branch_matches_stiff_exists_without_bounds(monkeypatch):
+    # verify's scans settle screen rejections without stiff_exists: the n
+    # they skip must be exactly the coefficient-screen verdicts of the
+    # full decision, and the existing set and the check line must read as
+    # its own.  Dimension 2 (every degree exists) and the even degrees of
+    # dimension 4 (the screen rejects none, and certifying n roots grows
+    # steeply) scan a shorter run.
+    asked = []
+
+    def spy(m, dim, use_bounds=True):
+        assert use_bounds is False
+        asked.append(m)
+        return stiff_exists(m, dim, use_bounds=False)
+
+    monkeypatch.setattr(search, "stiff_exists", spy)
+    for dim in range(2, 31):
+        for odd_deg in (False, True):
+            hi = 20 if dim == 2 else 40 if (dim, odd_deg) == (4, False) else 80
+            twin = {
+                m: stiff_exists(m, dim, use_bounds=False)
+                for m in (2 * n + odd_deg for n in range(2, hi))
+            }
+            checks = []
+            asked.clear()
+            existing = search._scan_branch(dim, odd_deg, 2, hi, checks, "scan")
+            assert set(twin) - set(asked) == {
+                m for m, v in twin.items()
+                if verdict_stage(v) == "coefficient-screen"
+            }, (dim, odd_deg)
+            expected = {m for m, v in twin.items() if v.exists}
+            assert existing == expected, (dim, odd_deg)
+            assert checks == [
+                f"scan: decided n in [2, {hi}) without shortcuts, existing "
+                f"degrees {sorted(expected) or 'none'}"
+            ]
+
+
 # --- threshold comparison shortcut ---------------------------------------
 
 def test_bound_if_exceeded_matches_thresholds():

@@ -253,6 +253,27 @@ def test_carried_walk_matches_the_factored_walk_for_large_dimensions(
     assert_carried_walk_matches_factored(m, dim, limit)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 600), st.booleans(), st.integers(1, 300),
+       st.integers(0, 40), st.sampled_from(CARRY_LIMITS))
+def test_scan_rejects_matches_the_screen_cell_by_cell(
+    dim, odd_deg, lo, count, limit
+):
+    # the batch kernel against the one-cell screen with its witness, on a
+    # run of n; the step divisors start empty, so they grow mid-batch,
+    # and the low limits hand walks over inside the batch
+    ns = range(lo, lo + count)
+    twin = [
+        screen_coefficients(2 * n + odd_deg, dim).witness is not None
+        for n in ns
+    ]
+    fresh = {False: (0,), True: (0,)}
+    with patch.object(stiffness, "_CARRY_BIT_LIMIT", limit), \
+            patch.dict(stiffness._STEP_DIVISORS, fresh):
+        assert stiffness.scan_rejects(dim, odd_deg, ns) == twin, (
+            dim, odd_deg, lo, count, limit)
+
+
 def test_deep_walk_hands_over_to_the_factored_walk():
     # u_r outgrows the bit limit long before the bad step 2^15
     p = stiff_params(2**17 + 1, 4)
