@@ -345,28 +345,26 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
     object whose m and d are the integers of its cell and whose verdict
     word is one `_sweep_cell` writes; anything else names its line.  A
     crash mid-append leaves one unterminated final line.  If it does not
-    parse, it is dropped and cut from the file; if it does, the file gets
-    its newline.  Either way the next append starts on a fresh line."""
+    parse, it is dropped; if it does, it is checked like any record.  Only
+    once every record is accepted is the file repaired: a dropped line is
+    cut from it, a kept one gets its newline, so the next append starts
+    on a fresh line.  A refused file is left as it was."""
     replayed: dict[int, dict] = {}
     try:
         data = path.read_bytes()
-        keep = data.rfind(b"\n") + 1
-        if keep < len(data):
-            with path.open("r+b") as fh:
-                try:
-                    json.loads(data[keep:])
-                except ValueError:
-                    fh.truncate(keep)
-                    data = data[:keep]
-                else:
-                    fh.seek(0, 2)
-                    fh.write(b"\n")
     except FileNotFoundError:
         return replayed
     except OSError as e:
         raise StateError(f"cannot read checkpoint {path}: {e}") from e
+    keep = data.rfind(b"\n") + 1
+    torn = False
+    if keep < len(data):
+        try:
+            json.loads(data[keep:])
+        except ValueError:
+            torn = True
     try:
-        text = data.decode("utf-8")
+        text = (data[:keep] if torn else data).decode("utf-8")
     except UnicodeDecodeError as e:
         raise StateError(f"checkpoint {path}: not UTF-8 text ({e})") from e
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -430,6 +428,16 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
                 f"{'/'.join(_CELL_VERDICTS)} record of cell {cell}"
             )
         replayed[cell[1]] = verdict
+    if keep < len(data):
+        try:
+            with path.open("r+b") as fh:
+                if torn:
+                    fh.truncate(keep)
+                else:
+                    fh.seek(0, 2)
+                    fh.write(b"\n")
+        except OSError as e:
+            raise StateError(f"cannot repair checkpoint {path}: {e}") from e
     return replayed
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic foundations.
 
-Integer factorization; Horner evaluation of polynomials given as ascending
-coefficient sequences; a root layer on ascending integer coefficient
-lists (Sturm isolation, interval refinement, rational root certification);
-Newton polygons.  No floating point anywhere; every function is pure, so
-the module is safe to use from worker processes.
+Integer factorization below 2^32 by sieve and trial division alone; Horner
+evaluation of polynomials given as ascending coefficient sequences; a root
+layer on ascending integer coefficient lists (Sturm isolation, interval
+refinement, rational root certification); Newton polygons.  No floating
+point anywhere; every function is pure, so the module is safe to use from
+worker processes.
 """
 from __future__ import annotations
 
@@ -69,7 +70,8 @@ SMALL_PRIMES = tuple(
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin to the bases `_MR_BASES`: a proof for n below
     `PRIME_PROVEN_BELOW` (psi_13, about 3.3e24), a probable-prime test past
-    it.  The same primes are trial divisors, so each is called prime."""
+    it.  The same primes are trial divisors, so each is called prime.  It
+    only checks a given prime; no factorization uses it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -93,104 +95,33 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power issue here.
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        y, c, m = seed, seed + 1, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as an exponent map.  factorize(1) == {}.
+    """Prime factorization of |n| < 2^32 as an exponent map, proven
+    without a primality test.  factorize(1) == {}.
 
-    |n| < 2^16 is read off the least-prime-factor table, which is proven
-    (a sieve, no primality test).  Larger |n| go through trial division by
-    the small primes, Miller-Rabin and Pollard rho, so their factors are
-    only as certain as `is_probable_prime`: proven below
-    `PRIME_PROVEN_BELOW` (psi_13, about 3.3e24).  On that route are
-    `QuadSurd.make` (the squarefree part of a surd), `divisor_candidates`
-    (the offset products, enumerated only for `verify`'s family claims)
-    and the rough cofactors of a coefficient-screen witness value whose
-    display-only size sits near the bit cap.  The offset window bound of
-    `classify_dimension` factors only the small factors of the offset
-    products (each below 2 dim), off the table.  The coefficient screen
-    decides most cells by exact division of one carried integer and
-    factors nothing; its factored walk, which renders witnesses and
-    finishes deep walks, reads the table in place and splits larger step
-    factors with `smooth_part`.
+    |n| < 2^16 is read off the least-prime-factor table; a larger |n| is
+    trial-divided by the table's primes (`smooth_part`), which reach its
+    square root.  |n| >= 2^32 raises ValueError; no caller needs more,
+    since the offset products are factored through their factors, each
+    below 2 dim.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
-    out: dict[int, int] = {}
     if n < _SMALL_PRIME_LIMIT:
+        out: dict[int, int] = {}
         least = _least_factor
         while n > 1:
             p = least[n] or n
             out[p] = out.get(p, 0) + 1
             n //= p
         return out
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        # trial division first: inputs in this package are mostly smooth
-        root = math.isqrt(m)
-        found = False
-        for p in SMALL_PRIMES:
-            if p > root:
-                break
-            if m % p == 0:
-                cnt = 0
-                while m % p == 0:
-                    m //= p
-                    cnt += 1
-                out[p] = out.get(p, 0) + cnt
-                stack.append(m)
-                found = True
-                break
-        if not found:
-            if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-            else:
-                d = _pollard_rho(m)
-                stack.append(d)
-                stack.append(m // d)
+    if n >> 32:
+        raise ValueError(f"cannot factor {n}: at least 2^32")
+    out, rough = smooth_part(n, _SMALL_PRIME_LIMIT - 1)
+    # a leftover below 2^32 with no prime factor below 2^16 is a prime
+    if rough > 1:
+        out[rough] = 1
     return out
 
 
@@ -219,7 +150,8 @@ def smooth_part(x: int, bound: int) -> tuple[dict[int, int], int]:
     a leftover that trial division brings below 2^16, and a leftover with
     no prime factor up to its square root is a prime.  The cofactor is 1,
     or a number of at least 2^16 with no prime factor <= bound, left
-    unfactored.
+    unfactored.  With bound 2^16 - 1, a cofactor below 2^32 is a prime,
+    and one below 2^48 is p, pq or p^2.
     """
     if x < _SMALL_PRIME_LIMIT:
         return factorize(x), 1

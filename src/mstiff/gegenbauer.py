@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact_core import factorize, fraction_square_root, poly_eval
+from .exact_core import (
+    _SMALL_PRIME_LIMIT,
+    fraction_square_root,
+    perfect_square_root,
+    poly_eval,
+    smooth_part,
+)
 
 __all__ = [
     "moment",
@@ -207,14 +213,26 @@ class QuadSurd:
 
     @staticmethod
     def make(a: Fraction | int, b: Fraction | int, c: int) -> "QuadSurd":
+        """a + b*sqrt(c), c reduced to its squarefree part.  The part r of
+        c with no prime factor below 2^16 is folded in when it is a square
+        and kept when r < 2^48 (then p or pq); any other r raises."""
         a, b = Fraction(a), Fraction(b)
         if c < 0:
             raise ValueError("c must be nonnegative")
         if b == 0 or c == 0:
             return QuadSurd(a, Fraction(0), 0)
-        square = 1
-        free = 1
-        for p, e in factorize(c).items():
+        factors, rough = smooth_part(c, _SMALL_PRIME_LIMIT - 1)
+        square = perfect_square_root(rough)
+        if square is not None:
+            free = 1
+        elif rough >> 48:
+            raise ValueError(
+                f"radicand {c}: its part {rough} with no prime factor "
+                "below 2^16 is at least 2^48 and not a square"
+            )
+        else:
+            square, free = 1, rough
+        for p, e in factors.items():
             square *= p ** (e // 2)
             if e % 2:
                 free *= p

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diophantine import (
     dims_for_degree4,
@@ -196,17 +196,20 @@ def divisor_candidates(
     degrees, >= 16 for odd).  None when the dimension class has no
     divisor-product argument, or when enumerating the divisors would
     exceed divisor_budget (callers must then treat the branch as open).
+    Each P_theta is factored through its factors c - 2 theta, never
+    as one number.
     """
     if dim % 2 or dim < (16 if odd_deg else 10):
         return None
     # the first two (even degrees) or four (odd degrees) offsets enumerate
-    offsets = _offset_products(dim, odd_deg)[: 4 if odd_deg else 2]
-    thetas, products = zip(*offsets)
+    offsets = _offset_factors(dim, odd_deg)[: 4 if odd_deg else 2]
+    thetas, offset_factors = zip(*offsets)
+    products = tuple(map(math.prod, offset_factors))
 
     factored = []
     total = 0
-    for prod in products:
-        factors = factorize(prod)
+    for cs in offset_factors:
+        factors = sum(map(Counter, map(factorize, cs)), Counter())
         if odd_deg:
             # offsets not coprime to 6 carry no necessity; drop the 3s so
             # only usable divisors are generated (products are odd anyway)
@@ -239,8 +242,7 @@ def divisor_candidates(
 # ---------------------------------------------------------------------------
 # dimension classification
 
-@dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     """Decision for one examined degree."""
 
     n: int

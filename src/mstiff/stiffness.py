@@ -27,7 +27,6 @@ from .exact_core import (
     NewtonPolygon,
     RootWitness,
     _least_factor,
-    factorize,
     newton_polygon_from_valuations,
     rational_roots,
     smooth_part,
@@ -197,30 +196,18 @@ _VALUE_BIT_CAP = 2048
 def _expand(
     exps: dict[int, int], rough: list[int], bit_cap: int
 ) -> Optional[Fraction]:
-    """prod(q^e) * prod(rough) as a Fraction, or None when its size, the
-    sum of |e| * bitlen(q) over its prime factorization, exceeds bit_cap.
-
-    A cofactor c adds between bitlen(c) and 2 bitlen(c) - 2 to that size
-    (each of its primes has at least two bits), so the cofactors are
-    factored only when those bounds straddle the cap.  The value is for
-    display, so the probable-prime route is acceptable there."""
-    low = sum(map(int.bit_length, rough))
-    num = den = 1
-    bits = low
-    for q, e in exps.items():
-        if e > 0:
-            num *= q**e
-            bits += e * q.bit_length()
-        elif e < 0:
-            den *= q**-e
-            bits -= e * q.bit_length()
-        if bits > bit_cap:
-            return None
-    if bits + low > bit_cap:
-        for c in rough:
-            bits += sum(e * q.bit_length() for q, e in factorize(c).items())
-        if bits - low > bit_cap:
-            return None
+    """prod(q^e) * prod(rough) as a Fraction, or None when its size
+    exceeds bit_cap: the sum of |e| * bitlen(q) over the split primes,
+    plus bitlen(c) for each rough cofactor c, so nothing is factored.
+    A cofactor's primes would add at least bitlen(c), so this size is
+    never more than the same sum over the full factorization."""
+    bits = sum(map(int.bit_length, rough)) + sum(
+        abs(e) * q.bit_length() for q, e in exps.items()
+    )
+    if bits > bit_cap:
+        return None
+    num = math.prod(q**e for q, e in exps.items() if e > 0)
+    den = math.prod(q**-e for q, e in exps.items() if e < 0)
     return Fraction(num * math.prod(rough), den)
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from mstiff import cli
+from mstiff import cli, exact_core, gegenbauer, search, stiffness
 from mstiff.cli import _parse_int, main
 from mstiff.stiffness import n_upper_bound
 
@@ -565,6 +565,41 @@ def test_checkpoint_whole_unterminated_last_line_is_kept(tmp_path, capsys):
         == [[6, 10], [6, 11]]
 
 
+def test_refused_checkpoint_with_a_whole_last_line_is_not_modified(
+    tmp_path, capsys
+):
+    # the unterminated last line parses, so it is a record to check, and
+    # the file gets no newline before every record is accepted
+    ck = tmp_path / "sweep.jsonl"
+    argv = ("classify", "--deg", "6", "--max-d", "5", "--format", "json",
+            "--checkpoint", str(ck))
+    run(capsys, *argv)
+    ck.write_bytes(ck.read_bytes() + b"5")
+    before = ck.read_bytes()
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "line 4: record is not a JSON object" in err
+    assert ck.read_bytes() == before
+
+
+def test_refused_checkpoint_with_a_torn_last_line_is_not_truncated(
+    tmp_path, capsys
+):
+    ck = tmp_path / "sweep.jsonl"
+    argv = ("classify", "--deg", "6", "--max-d", "10", "--format", "json",
+            "--checkpoint", str(ck))
+    run(capsys, *argv)
+    lines = ck.read_text().splitlines()
+    lines[3] = lines[3].replace("not_exists", "exists")
+    text = "\n".join(lines) + "\n"
+    ck.write_text(text + lines[4][:40])
+    before = ck.read_bytes()
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "line 4: digest mismatch" in err
+    assert ck.read_bytes() == before
+
+
 def test_interrupted_sweep_keeps_every_decided_cell(
     tmp_path, capsys, monkeypatch
 ):
@@ -783,6 +818,34 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["checks"]
+
+
+def test_tables_and_verify_factor_only_off_the_table(capsys, monkeypatch):
+    # every factorize call stays below 2^16, and Miller-Rabin only checks
+    # the Newton screen's primes 2, 3 and 5
+    calls = []
+    for module in (exact_core, gegenbauer, search, stiffness, cli):
+        for name in ("factorize", "is_probable_prime"):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def spy(n, name=name, original=original):
+                calls.append((name, n))
+                return original(n)
+
+            monkeypatch.setattr(module, name, spy)
+    argvs = [["tables", "--which", which, "--limit", "1e25"]
+             for which in ("m4", "m5")]
+    argvs += [["verify", tag] for tag in search.theorem_tags()]
+    for argv in argvs:
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert all(abs(n) < 1 << 16 for name, n in calls
+                   if name == "factorize"), argv
+        assert {n for name, n in calls
+                if name == "is_probable_prime"} <= {2, 3, 5}, argv
+    assert {name for name, _ in calls} == {"factorize", "is_probable_prime"}
 
 
 # ---------------------------------------------------------------------------

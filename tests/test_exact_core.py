@@ -11,7 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mstiff.exact_core import (
@@ -46,8 +47,9 @@ def test_factorize_matches_brute_divisors():
 
 
 def test_factorize_large_semiprime():
-    p, q = 1000003, 1000033
-    assert factorize(p * q) == {p: 1, q: 1}
+    # past 2^32 there is no proven route, so factorize refuses
+    with pytest.raises(ValueError, match="at least 2\\^32"):
+        factorize(1000003 * 1000033)
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -67,7 +69,7 @@ def trial_division(n: int) -> dict[int, int]:
 @given(st.integers(1, 1 << 17), st.sampled_from((1, -1)))
 def test_factorize_matches_trial_division(n, sign):
     # inputs below 2^16 are read off the least-prime-factor table, larger
-    # ones take the probable-prime route; both must agree with the twin
+    # ones are trial-divided by its primes; both must agree with the twin
     assert factorize(sign * n) == trial_division(n)
 
 
@@ -81,6 +83,29 @@ def test_factorize_matches_trial_division(n, sign):
 def test_factorize_at_the_table_edge(n, factors):
     assert factorize(n) == factors
     assert factorize(-n) == factors
+
+
+@given(st.integers(1 << 16, (1 << 32) - 1), st.sampled_from((1, -1)))
+@example(65521**2, 1)  # the square of the table's largest prime
+@example((1 << 32) - 5, -1)  # a prime past 65521^2, left after the table
+def test_factorize_matches_sympy_up_to_2_to_the_32(n, sign):
+    assert factorize(sign * n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    ((1 << 32) - 1, {3: 1, 5: 1, 17: 1, 257: 1, 65537: 1}),
+    (65521**2, {65521: 2}),
+    ((1 << 32) - 5, {(1 << 32) - 5: 1}),  # the largest prime below 2^32
+    (1 << 32, None),
+    (65537**2, None),
+])
+def test_factorize_at_2_to_the_32(n, factors):
+    for x in (n, -n):
+        if factors is None:
+            with pytest.raises(ValueError):
+                factorize(x)
+        else:
+            assert factorize(x) == factors
 
 
 def test_factorize_negative_and_zero():
@@ -161,7 +186,6 @@ def test_is_probable_prime_small():
 def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite(n, p, q):
     assert p * q == n
     assert not is_probable_prime(n)
-    assert factorize(n) == {p: 1, q: 1}
 
 
 def test_ord_p():

@@ -10,8 +10,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
+from sympy.ntheory.factor_ import core
 
 from mstiff.exact_core import poly_eval
 from mstiff.gegenbauer import (
@@ -230,6 +232,47 @@ def test_surd_normalization():
     assert QuadSurd.make(5, 0, 7).is_rational
     assert surd_sqrt(F(9, 4)).to_fraction() == F(3, 2)
     assert surd_sqrt(F(1, 2)) == QuadSurd.make(0, F(1, 2), 2)
+
+
+def assert_sqrt_matches_sympy(c):
+    # sqrt(c) = root * sqrt(free), free the squarefree part (sympy's core)
+    free = core(c)
+    root = math.isqrt(c // free)
+    expected = (
+        QuadSurd(F(0), F(root), free) if free > 1
+        else QuadSurd(F(root), F(0), 0)
+    )
+    assert QuadSurd.make(0, 1, c) == expected
+
+
+# primes from 65537 up to 2^24, so a product of two stays below 2^48
+ROUGH_PRIMES = st.integers(65538, 1 << 24).map(sympy.prevprime)
+
+
+@given(st.integers(1, 1000), st.integers(1, 1000), ROUGH_PRIMES,
+       ROUGH_PRIMES, st.sampled_from(("p", "pq", "p^2")))
+@example(12, 5, 65537, 65537, "pq")  # pq with p == q is p^2
+@example(1, 1, (1 << 24) - 3, (1 << 24) - 3, "p^2")  # below 2^48
+def test_surd_squarefree_part_matches_sympy(a, b, p, q, shape):
+    # every rough part below 2^48 with no prime factor below 2^16 is p,
+    # pq or p^2, so make takes its squarefree part without factoring it
+    rough = {"p": p, "pq": p * q, "p^2": p * p}[shape]
+    assert_sqrt_matches_sympy(a * a * b * rough)
+
+
+@pytest.mark.parametrize("c, refused", [
+    (65537**2 * 65539, True),  # p^2 q, past 2^48
+    (6 * 65537**2 * 65539, True),
+    (65537 * 65539 * 65543, True),  # pqr, past 2^48
+    (65537**2 * 65539**2, False),  # a square rough part of any size
+    ((10**12 + 39) ** 2 * 3, False),
+])
+def test_surd_rough_part_past_2_to_the_48(c, refused):
+    if refused:
+        with pytest.raises(ValueError, match=f"radicand {c}"):
+            QuadSurd.make(0, 1, c)
+    else:
+        assert_sqrt_matches_sympy(c)
 
 
 def test_surd_arithmetic():

@@ -4,10 +4,14 @@ Anchor coefficients and verdicts were computed by hand from the rising
 product formula before the implementation, and closed-form quadratures
 serve as an independent second route everywhere the two meet.
 """
+import functools
+import math
+import time
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -145,18 +149,25 @@ def test_screen_valuations_track_orders():
             assert factorize(u.numerator).get(prime, 0) == v
 
 
+# sympy's factorint is the twin's oracle, so the twin shares no
+# factoring code with the screen; cached, since step factors recur
+sympy_factors = functools.lru_cache(maxsize=1 << 16)(sympy.factorint)
+
+
 def product_walk_screen(m, dim, track_primes=(2, 3, 5)):
     """Slow twin of screen_coefficients: multiply each step's factors
-    before factoring them, and test every exponent after every step."""
+    before factoring them, and test every exponent after every step.  A
+    witness is (r, prime, valuation, exps), u_r = prod(q^exps[q]) over
+    the full factorization."""
     p = stiff_params(m, dim)
     exps: dict[int, int] = {}
     tracks = {q: [] for q in track_primes}
     for r in range(1, p.n + 1):
         num = (p.n - r + 1) * (p.shift + 2 * r - 2)
         den = r * (2 * r - 2 + p.denominator_step)
-        for q, e in factorize(num).items():
+        for q, e in sympy_factors(num).items():
             exps[q] = exps.get(q, 0) + e
-        for q, e in factorize(den).items():
+        for q, e in sympy_factors(den).items():
             exps[q] = exps.get(q, 0) - e
         bad = sorted(
             q for q, e in exps.items() if e < 0 and not (p.odd and q == 3)
@@ -164,16 +175,23 @@ def product_walk_screen(m, dim, track_primes=(2, 3, 5)):
         if not bad and p.odd and exps.get(3, 0) < -r:
             bad = [3]
         if bad:
-            # the value is left out when its estimated size passes 2048 bits
-            value = None
-            if sum(abs(e) * q.bit_length() for q, e in exps.items()) <= 2048:
-                value = Fraction(1)
-                for q, e in exps.items():
-                    value *= Fraction(q) ** e
-            return (r, bad[0], exps[bad[0]], value), None
+            return (r, bad[0], exps[bad[0]], exps), None
         for q in track_primes:
             tracks[q].append(exps.get(q, 0))
     return None, {q: tuple(v) for q, v in tracks.items()}
+
+
+def assert_witness_matches_twin(w, twin):
+    """The screen's witness against the twin's: a value it prints is
+    exactly u_r, and it prints one whenever the full factorization's size
+    (the sum of |e| * bitlen(q)) is within the 2048-bit cap."""
+    r, prime, valuation, exps = twin
+    assert (w.index, w.prime, w.valuation) == (r, prime, valuation)
+    value = math.prod(Fraction(q) ** e for q, e in exps.items())
+    if sum(abs(e) * q.bit_length() for q, e in exps.items()) <= 2048:
+        assert w.value == value
+    else:
+        assert w.value is None or w.value == value
 
 
 def assert_screen_matches_product_walk(m, dim, track_primes=(2, 3, 5)):
@@ -183,8 +201,7 @@ def assert_screen_matches_product_walk(m, dim, track_primes=(2, 3, 5)):
     if witness is None:
         assert rep.witness is None
     else:
-        w = rep.witness
-        assert (w.index, w.prime, w.valuation, w.value) == witness
+        assert_witness_matches_twin(rep.witness, witness)
 
 
 @given(st.integers(2, 400), st.integers(3, 600))
@@ -294,9 +311,7 @@ def test_screen_rejects_across_the_table_edge(n, odd_deg, dim):
     assert_rejects_matches_witness(m, dim)
     w = screen_coefficients(m, dim).witness
     if w is not None and w.index <= 64:
-        assert (w.index, w.prime, w.valuation, w.value) == (
-            product_walk_screen(m, dim)[0]
-        )
+        assert_witness_matches_twin(w, product_walk_screen(m, dim)[0])
 
 
 @pytest.mark.parametrize("m, dim, index", [
@@ -355,39 +370,52 @@ def test_screen_tracks_a_prime_far_past_its_bound(
 
 @pytest.fixture
 def prime_calls(monkeypatch):
-    """Every call to the probable-prime route while a test runs."""
+    """Every call to the Miller-Rabin test while a test runs."""
     calls = []
-    for name in ("is_probable_prime", "_pollard_rho"):
-        original = getattr(exact_core, name)
+    original = exact_core.is_probable_prime
 
-        def spy(n, name=name, original=original):
-            calls.append((name, n))
-            return original(n)
+    def spy(n):
+        calls.append(n)
+        return original(n)
 
-        monkeypatch.setattr(exact_core, name, spy)
+    monkeypatch.setattr(exact_core, "is_probable_prime", spy)
     return calls
 
 
-# (m, dim, value left out, cofactors factored): witnesses u_r whose rough
-# cofactors put the value below, inside and above the band between the
-# 2048-bit cap's two bounds (known + rough bits, known + twice those)
+# (m, dim, value left out): witnesses u_r with rough cofactors, on both
+# sides of the 2048-bit cap.  The value's size is the bits of its split
+# primes plus the bit length of each rough cofactor; the full
+# factorization, which nothing computes, would put the last two rows
+# over the cap
+HARD_COFACTOR_CELL = (42, 1000065439976693494941461924961)
 CAP_CELLS = [
-    (20, 10**25, False, False),  # u_6, below the band
-    (26, 10**25 + 57, False, True),  # u_13, in the band and under the cap
-    (42, 23347662034420077269540586, False, True),  # u_21, likewise
-    (42, 1000091666117608870918668806211, True, True),  # u_21, over the cap
-    (42, 1000052326906235806952858484336, True, False),  # u_21, above
+    (20, 10**25, False),  # u_6, far under the cap
+    (26, 10**25 + 57, False),  # u_13
+    (42, 23347662034420077269540586, False),  # u_21
+    (42, 1000052326906235806952858484336, True),  # u_21, over the cap
+    (42, 1000091666117608870918668806211, False),  # u_21
+    (*HARD_COFACTOR_CELL, False),  # u_21
 ]
 
 
-@pytest.mark.parametrize("m, dim, left_out, factored", CAP_CELLS)
-def test_witness_value_on_each_side_of_the_cap(
-    m, dim, left_out, factored, prime_calls
-):
+@pytest.mark.parametrize("m, dim, left_out", CAP_CELLS)
+def test_witness_value_on_each_side_of_the_cap(m, dim, left_out, prime_calls):
     w = screen_coefficients(m, dim).witness
     assert (w.value is None) == left_out
-    assert bool(prime_calls) == factored
+    assert prime_calls == []
     assert_screen_matches_product_walk(m, dim)
+
+
+def test_witness_value_is_sized_without_factoring():
+    # factoring this cell's rough cofactors to size its value takes about
+    # a second by Pollard rho; their bit lengths take well under 1 ms
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        w = screen_coefficients(*HARD_COFACTOR_CELL).witness
+        times.append(time.perf_counter() - start)
+    assert w.value is not None
+    assert min(times) < 0.010
 
 
 def test_screen_calls_no_probable_prime_code_on_the_streams(prime_calls):
@@ -405,7 +433,7 @@ def test_screen_calls_no_probable_prime_code_on_the_streams(prime_calls):
         assert prime_calls == [], (m, dim)
         stiff_exists(m, dim)
         # only the Newton screen's check that 2, 3 and 5 are primes
-        assert {call[1] for call in prime_calls} <= {2, 3, 5}, (m, dim)
+        assert set(prime_calls) <= {2, 3, 5}, (m, dim)
         prime_calls.clear()
 
 
@@ -413,8 +441,7 @@ def test_screen_walk_calls_no_probable_prime_code_past_the_table(
     prime_calls,
 ):
     # n from 2^15 up, so step factors reach past 2^16; the walk splits
-    # them with smooth_part, and only a witness value near the cap's band
-    # may factor a rough cofactor, which none of these needs
+    # them with smooth_part, and the witness value is sized by bit lengths
     cells = [
         (2 * n + odd, dim)
         for n in (2**15, 2**15 + 1, 2**16 - 1, 2**16, 2**16 + 1, 99_991,
