@@ -18,8 +18,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .diophantine import (
     dims_for_degree4,
@@ -29,13 +28,13 @@ from .diophantine import (
 )
 from .exact_core import divisors_from_factors, factorize
 from .stiffness import (
-    _FULL_SCREEN_CAP,
     BoundExceeded,
     BoundResult,
     IrrationalRoot,
     NonIntegerCoefficient,
     StiffVerdict,
     UndecidedError,
+    _closed_top_parts,
     n_upper_bound,
     scan_rejects,
     stiff_exists,
@@ -85,18 +84,11 @@ class DivisorCandidateSet:
 
 def _offset_factors(dim: int, odd_deg: bool) -> list[tuple[int, list[int]]]:
     """(theta, factors c - 2 theta of P_theta) for every denominator factor
-    n + theta of the top coefficient u_n, in the layout of
-    stiffness._closed_top_parts (even dim >= 4); see _offset_products."""
-    if odd_deg:
-        kp = dim // 2
-        w = (kp - 1) // 2
-        thetas = range(w + 1, kp)
-        odds = [2 * s + 1 for s in range(1, kp // 2)]
-    else:
-        k = (dim - 2) // 2
-        w = (k - 1) // 2
-        thetas = range(w + 1, w + k // 2 + 1)
-        odds = [2 * i - 1 for i in range(1, k // 2 + 1)]
+    n + theta of the top coefficient u_n (even dim >= 4); see
+    _offset_products.  The layout is stiffness._closed_top_parts at n = 0,
+    where the numerators 2n + c read as their constants c and the
+    denominators n + theta as their offsets theta."""
+    _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
     return [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
 
 
@@ -189,13 +181,16 @@ def _offset_window_bound(dim: int, odd_deg: bool) -> int:
     return bisect.bisect_left(range(hi), True, 2, key=lambda n: not holds(n))
 
 
+_DIVISOR_BUDGET = 1 << 20  # divisors divisor_candidates may enumerate
+
+
 def divisor_candidates(
-    dim: int, odd_deg: bool, divisor_budget: int = 1 << 20
+    dim: int, odd_deg: bool
 ) -> Optional[DivisorCandidateSet]:
     """Complete candidate list for even dimensions (>= 10 for even
     degrees, >= 16 for odd).  None when the dimension class has no
     divisor-product argument, or when enumerating the divisors would
-    exceed divisor_budget (callers must then treat the branch as open).
+    exceed _DIVISOR_BUDGET (callers must then treat the branch as open).
     Each P_theta is factored through its factors c - 2 theta, never
     as one number.
     """
@@ -216,7 +211,7 @@ def divisor_candidates(
             factors.pop(3, None)
         count = math.prod(e + 1 for e in factors.values())
         total += count
-        if total > divisor_budget:
+        if total > _DIVISOR_BUDGET:
             return None
         factored.append(factors)
 
@@ -248,7 +243,7 @@ class CandidateOutcome(NamedTuple):
     n: int
     m: int
     status: str  # exists | coefficient-screen | newton-screen |
-    #              root-certification | bound | unresolved
+    #              root-certification | unresolved
 
 
 @dataclass(frozen=True)
@@ -292,56 +287,45 @@ def verdict_stage(verdict: StiffVerdict) -> str:
 
 
 def _decide_candidates(
-    dim: int, odd_deg: bool, ns: tuple[int, ...], cascade_below: int = 0
+    dim: int, odd_deg: bool, ns: Sequence[int]
 ) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
-    """Decide each degree parameter in ns, in order.
+    """Decide each degree parameter in ns, in order, consulting no proven
+    nonexistence threshold: the one n-scan of classify_dimension and
+    verify_theorem.
 
-    The n < cascade_below are screened first, with no stiff_exists call:
-    in even dimensions each meets the offset cascade once, and the
-    survivors within the full-screen budget go to the coefficient screen
-    in one batch (`scan_rejects`, exact division of one carried integer
-    per cell, so nothing is factored and no witness is built).  A
-    rejection by either is the coefficient-screen verdict stiff_exists
-    would give, since no bound applies below the threshold and the
-    cascade, top and full screens never contradict each other.  Neither
-    screen consults a proven threshold, the shortcuts verify switches off;
-    every other n is decided by stiff_exists, thresholds included.
+    In even dimensions each n meets the offset cascade once; the survivors
+    go to the coefficient screen in one batch (`scan_rejects`: nothing is
+    factored and no witness is built).  A rejection by either is the
+    coefficient-screen verdict stiff_exists would give, since the cascade,
+    top and full screens never contradict each other.  Every other n is
+    decided by stiff_exists(..., use_bounds=False), or reads `unresolved`.
+    Dimension 2, where every degree exists, is never screened.
     """
-    offsets = (
-        _offset_products(dim, odd_deg) if cascade_below and dim % 2 == 0
-        else []
-    )
-    # per n, aligned with ns: True when the cascade rejects it, None when
-    # the coefficient screen decides it, False when stiff_exists does
-    hits: list[Optional[bool]] = []
-    walk = []
-    for n in ns:
-        if n >= cascade_below:
-            hits.append(False)
-        elif offsets and _offset_cascade_rejects(n, offsets, odd_deg):
-            hits.append(True)
-        elif n <= _FULL_SCREEN_CAP:
-            hits.append(None)
-            walk.append(n)
-        else:
-            hits.append(False)
-    walked = iter(scan_rejects(dim, odd_deg, walk))
-    rows = []
-    existing = []
-    unresolved = []
-    for n, hit in zip(ns, hits):
+    # per n, aligned with ns: whether the cascade or the screen rejects it
+    if dim == 2:
+        rejected = [False] * len(ns)
+    elif dim % 2:
+        rejected = scan_rejects(dim, odd_deg, ns)
+    else:
+        offsets = _offset_products(dim, odd_deg)
+        cascaded = [_offset_cascade_rejects(n, offsets, odd_deg) for n in ns]
+        walked = iter(scan_rejects(
+            dim, odd_deg, [n for n, hit in zip(ns, cascaded) if not hit]
+        ))
+        rejected = [hit or next(walked) for hit in cascaded]
+    rows, existing, unresolved = [], [], []
+    for n, hit in zip(ns, rejected):
         m = 2 * n + 1 if odd_deg else 2 * n
-        if hit or (hit is None and next(walked)):
+        if hit:
             rows.append(CandidateOutcome(n, m, "coefficient-screen"))
             continue
         try:
-            verdict = stiff_exists(m, dim)
+            verdict = stiff_exists(m, dim, use_bounds=False)
         except UndecidedError:
             rows.append(CandidateOutcome(n, m, "unresolved"))
             unresolved.append(m)
             continue
-        status = verdict_stage(verdict)
-        rows.append(CandidateOutcome(n, m, status))
+        rows.append(CandidateOutcome(n, m, verdict_stage(verdict)))
         if verdict.exists:
             existing.append(m)
     return tuple(rows), tuple(existing), tuple(unresolved)
@@ -358,9 +342,7 @@ def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
         hi = min(hi, n_star)
         detail = f"; {ended} ended the scan (offset window bound n* = {n_star})"
     ns = tuple(range(2, hi))
-    rows, existing, unresolved = _decide_candidates(
-        dim, odd_deg, ns, cascade_below=bound.threshold
-    )
+    rows, existing, unresolved = _decide_candidates(dim, odd_deg, ns)
     return BranchOutcome(
         dim, odd_deg, "bounded-scan", not unresolved, bound, ns, rows,
         existing, unresolved, f"scanned n in [2, {hi}){detail}",
@@ -596,29 +578,17 @@ def _scan_branch(
     label: str,
 ) -> set[int]:
     """Degrees of this parity admitting a configuration, over n in
-    [lo, hi), decided without shortcuts: no proven nonexistence threshold
-    is consulted.  The coefficient screen decides first (`scan_rejects`,
-    in one batch over the n within the full-screen budget, dim >= 3), and
-    every n it does not reject goes to stiff_exists(..., use_bounds=False).
-    A screen rejection is the NotExists that stiff_exists would give: a
-    top-coefficient rejection, which stiff_exists may reach first, implies
-    a full-screen one, so the existing set is the same either way."""
-    # dimension 2 admits every degree, whatever its coefficients
-    walk = range(lo, min(hi, _FULL_SCREEN_CAP + 1) if dim > 2 else lo)
-    screened = chain(scan_rejects(dim, odd_deg, walk), repeat(False))
-    existing = set()
-    for n, rejected in zip(range(lo, hi), screened):
-        if rejected:
-            continue
-        m = 2 * n + 1 if odd_deg else 2 * n
-        verdict = stiff_exists(m, dim, use_bounds=False)
-        if verdict.exists:
-            existing.add(m)
+    [lo, hi): the scan of `_decide_candidates`, which consults no proven
+    nonexistence threshold, plus one check line.  An n the scan leaves
+    unresolved raises UndecidedError, since no claim holds past it."""
+    _, existing, unresolved = _decide_candidates(dim, odd_deg, range(lo, hi))
+    if unresolved:
+        raise UndecidedError(unresolved[0], dim, "left unresolved by the scan")
     checks.append(
         f"{label}: decided n in [{lo}, {hi}) without shortcuts, "
         f"existing degrees {sorted(existing) or 'none'}"
     )
-    return existing
+    return set(existing)
 
 
 def _verify_branch_claim(
@@ -672,9 +642,8 @@ def _scan_window(
         f"window above threshold (dim {dim})"
     )
     if existing:
-        checks.append(f"existence above threshold contradicts the claim")
-        return False
-    return True
+        checks.append("existence above threshold contradicts the claim")
+    return not existing
 
 
 def _verify_family_claim(
@@ -736,10 +705,10 @@ def verify_theorem(
     """Recheck a nonexistence statement with shortcuts disabled.
 
     The shortcuts are the proven nonexistence thresholds (`n_upper_bound`,
-    the claims under test); no scan consults them.  Every scanned n meets
-    the coefficient screen first (`scan_rejects`), and only the n it does
-    not reject go to stiff_exists(..., use_bounds=False), so each check
-    line's existing degrees are those of the full decision.
+    the claims under test); no scan consults them.  Every scan, family
+    candidates included, is `_decide_candidates`: the offset cascade and
+    the coefficient screen, then stiff_exists(..., use_bounds=False) on
+    the rest, so each check line's degrees are those of the full decision.
 
     window: how many n past the threshold to sample (skipped for family
     members whose threshold is too large to scan).  below_cap truncates

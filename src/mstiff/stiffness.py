@@ -281,20 +281,12 @@ def _carried_walk(n: int, shift: int, odd: bool, limit: int) -> Optional[int]:
     return None
 
 
-def _carried_bad_step(p: StiffParams) -> Optional[int]:
-    """`_carried_walk` for one cell, at the current _CARRY_BIT_LIMIT: the
-    first bad step, None, or _HANDED_OVER.  `screen_coefficients` decides
-    by it before it renders anything; like every caller of the kernel, it
-    consults no proven nonexistence threshold."""
-    return _carried_walk(p.n, p.shift, p.odd, _CARRY_BIT_LIMIT)
-
-
 def _first_bad_step(
     p: StiffParams,
 ) -> Optional[tuple[int, dict[int, int], list[int]]]:
     """(r, exps, rough) for the first u_r with a forbidden denominator
     prime, or None: the factored walk, which renders the witness at the
-    step `_carried_bad_step` found and decides the cells it hands over.
+    step `_carried_walk` found and decides the cells it hands over.
     u_r = prod(q^exps[q]) * prod(rough), exps exact for every prime up to
     B = 2n-2+step, no prime up to B in a rough cofactor.  Step r
     multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step); a
@@ -338,35 +330,27 @@ def _first_bad_step(
     return None
 
 
-def screen_rejects(m: int, dim: int) -> bool:
-    """screen_coefficients(m, dim).witness is not None, without building
-    the witness or the valuations: `scan_rejects` on the one cell.  No
-    proven threshold is consulted, so a rejection (dim >= 3) certifies
-    nonexistence on its own."""
-    p = stiff_params(m, dim)
-    return scan_rejects(dim, p.odd, (p.n,))[0]
-
-
 def scan_rejects(dim: int, odd_deg: bool, ns: Iterable[int]) -> list[bool]:
     """For each n in ns, whether the coefficient screen rejects degree
     m = 2n + 1 (odd_deg) or 2n in this dimension, in the order of ns: the
-    batch form of `screen_rejects`, for the scans over n of one parity
-    branch.  Each cell runs `_carried_walk` on plain integers, with no
-    StiffParams and the step divisors shared by the whole branch; only a
-    walk the carried integer hands over goes to the factored walk.
+    screen of one parity branch, with no StiffParams per cell and the step
+    divisors shared by the whole branch.  Each cell runs `_carried_walk`
+    on plain integers; only a walk the carried integer hands over goes to
+    the factored walk.  Every n past the full-screen budget
+    (_FULL_SCREEN_CAP) is left unrejected, for stiff_exists to decide.
 
-    The dimension scans and verify's scans without shortcuts (the proven
-    nonexistence thresholds) call it before any stiff_exists: it uses no
-    threshold, and a rejection (dim >= 3) is the coefficient-screen
-    NotExists stiff_exists would give, since the top-coefficient screen
-    stiff_exists may try first rejects only what the full screen does."""
+    Every n-scan (search._decide_candidates) calls it before any
+    stiff_exists: it uses no proven nonexistence threshold, and a
+    rejection (dim >= 3) is the coefficient-screen NotExists stiff_exists
+    would give, since the top-coefficient screen stiff_exists may try
+    first rejects only what the full screen does."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    limit, walk = _CARRY_BIT_LIMIT, _carried_walk
+    limit, cap, walk = _CARRY_BIT_LIMIT, _FULL_SCREEN_CAP, _carried_walk
     base = dim - 2 + (2 if odd_deg else 0)  # shift = base + 2n
     out = []
     for n in ns:
-        r = walk(n, base + 2 * n, odd_deg, limit)
+        r = walk(n, base + 2 * n, odd_deg, limit) if n <= cap else None
         if r == _HANDED_OVER:
             m = 2 * n + 1 if odd_deg else 2 * n
             out.append(_first_bad_step(stiff_params(m, dim)) is not None)
@@ -382,7 +366,9 @@ def screen_coefficients(
     report it, or, on success, return the tracked valuations, so a Newton
     screen expands no coefficient.
 
-    The carried walk (`_carried_bad_step`) decides; the factored walk
+    The one-cell screen of stiff_exists, with the witness `exists` prints;
+    scans decide the same cells by `scan_rejects`, which renders nothing.
+    The carried walk (`_carried_walk`) decides; the factored walk
     (`_first_bad_step`) runs only to render a witness at the step it
     found, or to decide a cell it hands over.  Only step r's divisor can
     bring in a new denominator prime, so the witness prime is the least
@@ -393,7 +379,8 @@ def screen_coefficients(
     u_r is C(n, r) times the rising product over 3*5*...*(2r+1), whose
     ord_3 is at most r, all the denominator 3^r of the roots can absorb."""
     p = stiff_params(m, dim)
-    hit = None if _carried_bad_step(p) is None else _first_bad_step(p)
+    carried = _carried_walk(p.n, p.shift, p.odd, _CARRY_BIT_LIMIT)
+    hit = None if carried is None else _first_bad_step(p)
     if hit is not None:
         r, exps, rough = hit
         bad = min(q for q, e in exps.items()
@@ -426,7 +413,10 @@ def _closed_top_parts(
     n: int, dim: int, odd_deg: bool
 ) -> tuple[int, list[int], list[int]]:
     """u_n = 2^a * prod(nums) / prod(dens) for even dim, all O(dim) many
-    factors of size O(n).  Valid for dim >= 4 even, n >= 1."""
+    factors of size O(n).  Valid for dim >= 4 even, n >= 1.  At n = 0 it
+    gives the layout itself: nums are the constants c of the numerators
+    2n + c and dens the offsets theta of the denominators n + theta, as
+    search._offset_factors reads them."""
     if dim % 2 != 0 or dim < 4:
         raise ValueError("closed top form needs even dim >= 4")
     if odd_deg:
@@ -770,6 +760,9 @@ class UndecidedError(RuntimeError):
 
 _FULL_SCREEN_CAP = 200_000
 _TOP_SCREEN_MIN_N = 64
+# the top screen's modulus grows over about dim/4 factors: below this dim
+# it is no slower than the full screen, at dim 10^6 it takes about a minute
+_TOP_SCREEN_DIM_LIMIT = 64
 
 
 def _exists_verdict(m: int, dim: int, roots: Sequence[Fraction]) -> StiffVerdict:
@@ -829,7 +822,9 @@ def stiff_exists(
                 BoundExceeded(bound.tag, bound.threshold, n, bound.conservative),
             )
 
-    if dim % 2 == 0 and n > _TOP_SCREEN_MIN_N:
+    # only where it is cheaper, or past the budget, where it is all there is
+    if dim % 2 == 0 and n > _TOP_SCREEN_MIN_N and (
+            dim < _TOP_SCREEN_DIM_LIMIT or n > _FULL_SCREEN_CAP):
         top = top_coefficient_screen(m, dim)
         if top is not None:
             return StiffVerdict(m, dim, False, None, top)

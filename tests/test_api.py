@@ -1,8 +1,9 @@
 """Public surface checks.
 
-Every name a submodule lists in ``__all__`` is either re-exported by the
-package or used somewhere in ``src/mstiff``: an export that nothing calls
-is dead code with a promise attached.
+Every name a submodule lists in ``__all__``, and every top-level function
+and class, is either re-exported by the package or used somewhere in
+``src/mstiff``: an export that nothing calls is dead code with a promise
+attached, and a helper that nothing calls is dead code.
 """
 import ast
 import importlib
@@ -42,3 +43,17 @@ def test_no_dead_exports():
             if name not in used
         ]
     assert not dead, f"exported but never used: {dead}"
+
+
+def test_no_uncalled_module_helpers():
+    # a top-level function or class that nothing in src/ reads and the
+    # package does not re-export is code no caller can reach
+    used = used_names() | set(mstiff.__all__)
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert not uncalled, f"defined but never used in src/: {uncalled}"

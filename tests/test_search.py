@@ -78,8 +78,9 @@ def test_candidates_not_applicable():
     assert divisor_candidates(14, True) is None  # below the odd-deg range
 
 
-def test_candidates_budget_refusal():
-    assert divisor_candidates(10, False, divisor_budget=3) is None
+def test_candidates_budget_refusal(monkeypatch):
+    monkeypatch.setattr(search, "_DIVISOR_BUDGET", 3)
+    assert divisor_candidates(10, False) is None
 
 
 def test_candidate_necessity_for_integral_top_coefficients():
@@ -128,12 +129,12 @@ def test_offset_cascade_rejection_implies_coefficient_screens(dim, n, odd_deg):
         assert top is not None and top.index == n
 
 
-def _rows_without_cascade(dim, odd_deg, ns):
+def _rows_without_cascade(dim, odd_deg, ns, use_bounds=True):
     rows = []
     for n in ns:
         m = 2 * n + 1 if odd_deg else 2 * n
         try:
-            status = verdict_stage(stiff_exists(m, dim))
+            status = verdict_stage(stiff_exists(m, dim, use_bounds=use_bounds))
         except UndecidedError:
             status = "unresolved"
         rows.append((n, m, status))
@@ -148,16 +149,18 @@ def test_cascade_rows_match_stiff_exists_on_every_raw_candidate():
             assert rows == twin, (dim, b.odd_deg)
 
 
-def test_cascade_leaves_degrees_past_the_threshold_to_the_bound():
+def test_scan_rows_past_the_threshold_are_the_decision_without_bounds():
+    # no scan consults a threshold, so at and past it every row is the
+    # full decision's, which verify's windows above the threshold rely on;
     # no raw candidate reaches the threshold in these dimensions, so cover
     # the n >= threshold side with a plain range
     for dim in (10, 12, 14):
         threshold = n_upper_bound(dim, False).threshold
         ns = tuple(range(2, threshold + 30))
-        rows, _, _ = _decide_candidates(dim, False, ns, threshold)
-        twin = _rows_without_cascade(dim, False, ns)
+        rows, _, _ = _decide_candidates(dim, False, ns)
+        twin = _rows_without_cascade(dim, False, ns, use_bounds=False)
         assert [(r.n, r.m, r.status) for r in rows] == twin
-        assert twin[-1][2] == "bound"
+        assert "bound" not in {status for _, _, status in twin}
 
 
 # --- offset window bound --------------------------------------------------
@@ -263,7 +266,7 @@ def _assert_scan_rows_match_stiff_exists():
     statuses = set()
     for dim, odd_deg, threshold in _bounded_scan_branches():
         ns = tuple(range(2, threshold))
-        rows, _, _ = _decide_candidates(dim, odd_deg, ns, threshold)
+        rows, _, _ = _decide_candidates(dim, odd_deg, ns)
         twin = _rows_without_cascade(dim, odd_deg, ns)
         assert [(r.n, r.m, r.status) for r in rows] == twin, (dim, odd_deg)
         statuses.update(status for _, _, status in twin)
@@ -280,10 +283,9 @@ def test_scan_rows_match_stiff_exists_on_every_n():
 def test_scan_rows_past_the_full_screen_cap_stay_unresolved(monkeypatch):
     # below most thresholds, so stiff_exists leaves n > 100 undecided, and
     # the screen walk must not decide them either; the cap stays above
-    # the top screen's least n, as the real one does.  search holds its
-    # own binding of the name, so both are patched.
-    for module in (stiffness, search):
-        monkeypatch.setattr(module, "_FULL_SCREEN_CAP", 100)
+    # the top screen's least n, as the real one does.  scan_rejects reads
+    # the one binding of the name, in stiffness.
+    monkeypatch.setattr(stiffness, "_FULL_SCREEN_CAP", 100)
     assert "unresolved" in _assert_scan_rows_match_stiff_exists()
 
 
@@ -549,6 +551,22 @@ def test_verify_dim8_and_truncation():
     truncated = verify_theorem("dim8-even-deg", below_cap=10)
     assert not truncated.passed
     assert any("truncated" in line for line in truncated.checks)
+
+
+def test_verify_consults_no_threshold(monkeypatch):
+    # every scan of every claim, family candidates included, decides
+    # without the thresholds under test
+    asked = []
+
+    def spy(m, dim, use_bounds=True, **kwargs):
+        asked.append((m, dim, use_bounds))
+        return stiff_exists(m, dim, use_bounds=use_bounds, **kwargs)
+
+    monkeypatch.setattr(search, "stiff_exists", spy)
+    for tag in theorem_tags():
+        asked.clear()
+        assert verify_theorem(tag).passed, tag
+        assert [call for call in asked if call[2]] == [], tag
 
 
 def test_verify_fails_a_branch_claim_when_the_window_finds_a_degree(

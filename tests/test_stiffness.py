@@ -28,8 +28,8 @@ from mstiff.stiffness import (
     newton_screen,
     s_coefficients,
     s_poly,
+    scan_rejects,
     screen_coefficients,
-    screen_rejects,
     stiff_exists,
     stiff_params,
     top_coefficient_screen,
@@ -218,9 +218,10 @@ def test_screen_matches_product_walk_for_large_dimensions(m, dim):
 
 
 def assert_rejects_matches_witness(m, dim):
-    assert screen_rejects(m, dim) == (
+    p = stiff_params(m, dim)
+    assert scan_rejects(dim, p.odd, (p.n,)) == [
         screen_coefficients(m, dim).witness is not None
-    ), (m, dim)
+    ], (m, dim)
 
 
 @given(st.integers(2, 400), st.integers(3, 600))
@@ -243,9 +244,10 @@ def assert_carried_walk_matches_factored(m, dim, limit):
     hit = stiffness._first_bad_step(stiff_params(m, dim))
     factored = hit[0] if hit else None
     report = screen_coefficients(m, dim)
+    p = stiff_params(m, dim)
+    carried = stiffness._carried_walk(p.n, p.shift, p.odd, limit)
     with patch.object(stiffness, "_CARRY_BIT_LIMIT", limit):
-        carried = stiffness._carried_bad_step(stiff_params(m, dim))
-        rejects = screen_rejects(m, dim)
+        (rejects,) = scan_rejects(dim, p.odd, (p.n,))
         assert screen_coefficients(m, dim) == report, (m, dim, limit)
     if carried == stiffness._HANDED_OVER:
         assert limit < NO_HANDOVER, (m, dim)
@@ -294,7 +296,9 @@ def test_scan_rejects_matches_the_screen_cell_by_cell(
 def test_deep_walk_hands_over_to_the_factored_walk():
     # u_r outgrows the bit limit long before the bad step 2^15
     p = stiff_params(2**17 + 1, 4)
-    assert stiffness._carried_bad_step(p) == stiffness._HANDED_OVER
+    limit = stiffness._CARRY_BIT_LIMIT
+    assert stiffness._carried_walk(p.n, p.shift, p.odd, limit) == (
+        stiffness._HANDED_OVER)
     assert stiffness._first_bad_step(p)[0] == 2**15
 
 
@@ -451,7 +455,7 @@ def test_screen_walk_calls_no_probable_prime_code_past_the_table(
     decided = 0
     for m, dim in cells:
         w = screen_coefficients(m, dim).witness
-        screen_rejects(m, dim)
+        scan_rejects(dim, m % 2 == 1, (m // 2,))
         assert prime_calls == [], (m, dim)
         decided += w is not None and w.value is not None
     assert decided >= 100
@@ -489,6 +493,18 @@ def test_top_screen_agrees_with_full_screen():
                 # full screen may fail at small indices the top screen
                 # does not look at
                 assert full.witness.index < n - 2 or n < 3, (m, dim)
+
+
+def test_top_screen_runs_only_where_it_is_cheap():
+    # its modulus grows over about dim/4 factors, so at dim 10^6 the top
+    # screen alone takes about a minute; the full screen decides the cell
+    # at step 7, and the top screen still decides below the dimension limit
+    t0 = time.perf_counter()
+    verdict = stiff_exists(200, 10**6)
+    assert time.perf_counter() - t0 < 1
+    assert (verdict.witness.index, verdict.witness.prime) == (7, 13)
+    below = stiff_exists(200, stiffness._TOP_SCREEN_DIM_LIMIT - 2).witness
+    assert (below.index, below.prime) == (100, None)
 
 
 def test_newton_screen_power_of_two_family():
