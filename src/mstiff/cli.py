@@ -328,8 +328,16 @@ def _classify_dim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call, which
+# a sweep pays per cell and per record; these encode the same bytes
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+_COMPACT_SORTED_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+)
+
+
 def _digest(verdict: dict) -> str:
-    blob = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    blob = _COMPACT_SORTED_JSON.encode(verdict)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
@@ -450,7 +458,7 @@ def _checkpoint_line(kind: str, m: int, verdict: dict) -> str:
         "ts": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _SORTED_JSON.encode(record) + "\n"
 
 
 def _sweep_cell(args: tuple[int, int]) -> dict:
@@ -546,8 +554,8 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
     }
 
     if args.format == "json":
-        out = [json.dumps(c, sort_keys=True) for c in cells]
-        out.append(json.dumps(summary, sort_keys=True))
+        out = [_SORTED_JSON.encode(c) for c in cells]
+        out.append(_SORTED_JSON.encode(summary))
         _emit("\n".join(out) + "\n")
         return EXIT_OK
     if args.format == "csv":
@@ -606,14 +614,14 @@ def _classify_deg(args: argparse.Namespace) -> int:
         if args.format == "json":
             out = []
             for r in rows:
-                out.append(json.dumps({
+                out.append(_SORTED_JSON.encode({
                     "m": m,
                     "d": r.d,
                     "verdict": "exists",
                     "zeros": list(r.zeros),
                     "lambdas": list(r.lambdas),
-                }, sort_keys=True))
-            out.append(json.dumps({
+                }))
+            out.append(_SORTED_JSON.encode({
                 "summary": True,
                 "m": m,
                 "max_d": max_d,
@@ -622,7 +630,7 @@ def _classify_deg(args: argparse.Namespace) -> int:
                 "method": "pell-stream",
                 "budget": None,
                 "wall_clock_cap": None,
-            }, sort_keys=True))
+            }))
             _emit("\n".join(out) + "\n")
             return EXIT_OK
         if args.format in ("csv", "markdown"):

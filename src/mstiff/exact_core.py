@@ -3,9 +3,9 @@
 Integer factorization below 2^32 by sieve and trial division alone; Horner
 evaluation of polynomials given as ascending coefficient sequences; a root
 layer on ascending integer coefficient lists (Sturm isolation, interval
-refinement, rational root certification); Newton polygons.  No floating
-point anywhere; every function is pure, so the module is safe to use from
-worker processes.
+refinement, rational root certification, root counts modulo small primes);
+Newton polygons.  No floating point anywhere; every function is pure, so
+the module is safe to use from worker processes.
 """
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ __all__ = [
     "squarefree_part",
     "isolate_real_roots",
     "refine_root",
+    "clear_denominators",
+    "nonsplit_prime",
     "rational_roots",
     "NewtonPolygon",
     "newton_polygon_from_valuations",
@@ -510,17 +512,18 @@ def _settle(f: Sequence[int], iv: RootInterval) -> tuple[Optional[int], RootInte
     return int(iv.lo), iv
 
 
-def rational_roots(p: Sequence[Fraction | int], allowed_denominators: frozenset[int] | set[int] = frozenset({1})) -> RootReport:
-    """Decide whether every root of the monic polynomial p (ascending
-    coefficients, leading 1) is rational with denominator in the allowed
-    set; otherwise produce a checkable witness.
+def clear_denominators(
+    p: Sequence[Fraction | int],
+    allowed_denominators: frozenset[int] | set[int] = frozenset({1}),
+) -> tuple[int, list[int]] | RootWitness:
+    """Substitute x = y/q into the monic polynomial p (ascending
+    coefficients, leading 1), q the largest allowed denominator, and clear:
+    (q, T) with T = q^n p(y/q) as ascending integer coefficients, monic,
+    whose roots are q times those of p.  When a coefficient of T is not an
+    integer, some root of p has a denominator outside the set, and the
+    result is the "non-integral-coefficient" witness instead.
 
-    allowed_denominators must be {1} or {1, 3}.  After the substitution
-    x = y/q the polynomial is monic with integer coefficients, so its
-    rational roots are integers; each isolating interval of its squarefree
-    part is refined until it pins an integer root or holds no integer.
-    Every integer root is stripped, and the witness is the first interval
-    of what remains.
+    allowed_denominators must be {1} or {1, 3}.
     """
     allowed = frozenset(allowed_denominators)
     if allowed not in (frozenset({1}), frozenset({1, 3})):
@@ -528,24 +531,94 @@ def rational_roots(p: Sequence[Fraction | int], allowed_denominators: frozenset[
     if not p or p[-1] != 1:
         raise ValueError("p must be monic")
     q = max(allowed)
-
-    # substitute x = y/q and clear: roots y of T are q * (roots of p)
     n = len(p) - 1
-    t_coeffs: list[Fraction] = [
-        p[i] * Fraction(q) ** (n - i) for i in range(n + 1)
-    ]
-    for i, c in enumerate(t_coeffs):
+    T = []
+    for i, c in enumerate(p):
+        c = c * q ** (n - i)
         if c.denominator != 1:
-            return RootReport(
-                False,
-                (),
-                RootWitness(
-                    "non-integral-coefficient",
-                    f"coefficient of degree {i} is {c} after clearing "
-                    f"denominator {q}",
-                ),
+            return RootWitness(
+                "non-integral-coefficient",
+                f"coefficient of degree {i} is {c} after clearing "
+                f"denominator {q}",
             )
-    T = [int(c) for c in t_coeffs]
+        T.append(int(c))
+    return q, T
+
+
+# the first prime decides almost every refused section polynomial: over
+# the 633 root-certification cells of m = 6..10, d <= 1020 it is 5 for
+# 471 and never past 19, and 2 would decide none of them; an existing cell
+# pays for every prime
+_SPLIT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _root_count_mod(T: Sequence[int], p: int) -> int:
+    """Roots of the monic integer polynomial T in F_p, counted with
+    multiplicity: each residue is divided out by synthetic division for as
+    long as it is a root, so the count stops at deg T."""
+    work = [c % p for c in reversed(T)]  # descending
+    count = 0
+    x = 0
+    while x < p and len(work) > 1:
+        acc = 0
+        for c in work:
+            acc = (acc * x + c) % p
+        if acc:
+            x += 1
+            continue
+        # x is a root: Horner's partial sums are the quotient by y - x
+        quot = []
+        acc = 0
+        for c in work[:-1]:
+            acc = (acc * x + c) % p
+            quot.append(acc)
+        work = quot
+        count += 1
+    return count
+
+
+def nonsplit_prime(T: Sequence[int]) -> Optional[int]:
+    """The first prime p of `_SPLIT_PRIMES` at which the monic integer
+    polynomial T (ascending coefficients) has fewer than deg T roots in
+    F_p, counted with multiplicity; None when there is none, at once when
+    deg T <= 1.
+
+    A prime is a proof that some root of T is not an integer: if every
+    root r_i were one, T = prod(y - r_i) over Z, so T mod p would be the
+    product of the y - (r_i mod p) and have exactly deg T roots mod p with
+    multiplicity (F_p[y] factors uniquely).  The check needs no reals and
+    no Sturm chain; it is the splitting half of the distinct-degree step
+    of Cantor and Zassenhaus (Math. Comp. 36, 1981).
+    """
+    if not T or T[-1] != 1:
+        raise ValueError("T must be monic")
+    deg = len(T) - 1
+    if deg <= 1:
+        return None
+    for p in _SPLIT_PRIMES:
+        if _root_count_mod(T, p) < deg:
+            return p
+    return None
+
+
+def rational_roots(p: Sequence[Fraction | int], allowed_denominators: frozenset[int] | set[int] = frozenset({1})) -> RootReport:
+    """Decide whether every root of the monic polynomial p (ascending
+    coefficients, leading 1) is rational with denominator in the allowed
+    set; otherwise produce a checkable witness.
+
+    allowed_denominators must be {1} or {1, 3}.  After the substitution
+    x = y/q (`clear_denominators`) the polynomial is monic with integer
+    coefficients, so its rational roots are integers; each isolating
+    interval of its squarefree part is refined until it pins an integer
+    root or holds no integer.  Every integer root is stripped, and the
+    witness is the first interval of what remains.
+    """
+    cleared = clear_denominators(p, allowed_denominators)
+    if isinstance(cleared, RootWitness):
+        return RootReport(False, (), cleared)
+    q, T = cleared
+    allowed = frozenset(allowed_denominators)
+    n = len(p) - 1
 
     roots: list[Fraction] = []
     # strip roots at zero

@@ -11,12 +11,14 @@ the Exists side.
 
 The decision pipeline is: cheap integrality screens on the coefficients of
 S (which also power the large-scale searches), Newton polygon screens at
-small primes, exact root certification, then certificate construction and
-verification.  Every verdict carries either a verified quadrature or a
+small primes, root certification (root counts modulo small primes, then
+Sturm isolation for the cells they leave), then certificate construction
+and verification.  Every verdict carries either a verified quadrature or a
 finite, checkable witness.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +29,9 @@ from .exact_core import (
     NewtonPolygon,
     RootWitness,
     _least_factor,
+    clear_denominators,
     newton_polygon_from_valuations,
+    nonsplit_prime,
     rational_roots,
     smooth_part,
 )
@@ -159,12 +163,34 @@ class NonIntegerCoefficient:
 class IrrationalRoot:
     """Some root of the section polynomial is irrational.
 
-    Exactly one of `newton` (a polygon with a fractional slope) and
-    `root_witness` (from exact root certification) is set.
+    Exactly one of `newton` (a polygon with a fractional slope) and `cell`
+    (the (m, dim) that root certification refused) is set.  `prime` is the
+    prime at which the cleared section polynomial has fewer roots than its
+    degree (`nonsplit_prime`), which decided the verdict, or None when
+    Sturm isolation decided it.
     """
 
     newton: Optional[NewtonPolygon] = None
-    root_witness: Optional[RootWitness] = None
+    prime: Optional[int] = None
+    cell: Optional[tuple[int, int]] = None
+
+    @functools.cached_property
+    def root_witness(self) -> Optional[RootWitness]:
+        """The witness of exact root certification (`rational_roots`) for
+        `cell`, None for a Newton witness.  It takes a Sturm chain, so it is
+        built on first read: only the renderers of `exists` read it."""
+        if self.cell is None:
+            return None
+        m, dim = self.cell
+        rep = rational_roots(
+            s_poly(m, dim), stiff_params(m, dim).allowed_denominators
+        )
+        if rep.all_rational:
+            raise AssertionError(
+                f"root certification refused m={m}, dim={dim}, yet every "
+                "root of its section polynomial is allowed"
+            )
+        return rep.witness
 
 
 @dataclass(frozen=True)
@@ -763,6 +789,11 @@ _TOP_SCREEN_MIN_N = 64
 # the top screen's modulus grows over about dim/4 factors: below this dim
 # it is no slower than the full screen, at dim 10^6 it takes about a minute
 _TOP_SCREEN_DIM_LIMIT = 64
+# past the full-screen budget the top screen is all there is, and only up
+# to this dim: one of its three checks at n = 200,001 took 0.015 s at
+# dim 10^4, 0.17 s at 4 * 10^4 and 0.6-0.9 s at 10^5, and its factor lists
+# grow with dim, to 2.5 * 10^24 entries at dim 10^25
+_TOP_SCREEN_MAX_DIM = 100_000
 
 
 def _exists_verdict(m: int, dim: int, roots: Sequence[Fraction]) -> StiffVerdict:
@@ -822,6 +853,11 @@ def stiff_exists(
                 BoundExceeded(bound.tag, bound.threshold, n, bound.conservative),
             )
 
+    if n > _FULL_SCREEN_CAP and dim % 2 == 0 and dim > _TOP_SCREEN_MAX_DIM:
+        raise UndecidedError(
+            m, dim, f"degree parameter {n} exceeds the full-screen budget "
+            f"and dimension {dim} the top screen's limit {_TOP_SCREEN_MAX_DIM}"
+        )
     # only where it is cheaper, or past the budget, where it is all there is
     if dim % 2 == 0 and n > _TOP_SCREEN_MIN_N and (
             dim < _TOP_SCREEN_DIM_LIMIT or n > _FULL_SCREEN_CAP):
@@ -842,11 +878,23 @@ def stiff_exists(
     if polygon is not None:
         return StiffVerdict(m, dim, False, None, IrrationalRoot(newton=polygon))
 
-    rep = rational_roots(s_poly(m, dim), p.allowed_denominators)
-    if not rep.all_rational:
+    # a prime at which the cleared polynomial does not split decides the
+    # cell without Sturm; its witness is rendered only when read
+    section = s_poly(m, dim)
+    cleared = clear_denominators(section, p.allowed_denominators)
+    prime = None if isinstance(cleared, RootWitness) else nonsplit_prime(
+        cleared[1])
+    if prime is not None:
         return StiffVerdict(
-            m, dim, False, None, IrrationalRoot(root_witness=rep.witness)
+            m, dim, False, None, IrrationalRoot(prime=prime, cell=(m, dim))
         )
+    rep = rational_roots(section, p.allowed_denominators)
+    if not rep.all_rational:
+        refused = IrrationalRoot(cell=(m, dim))
+        # Sturm decided, so its witness is built already: fill the cache
+        # that `root_witness` reads (cached_property keeps it in __dict__)
+        refused.__dict__["root_witness"] = rep.witness
+        return StiffVerdict(m, dim, False, None, refused)
     if len(set(rep.roots)) != len(rep.roots):
         raise AssertionError(
             f"section polynomial for m={m}, dim={dim} has repeated roots"

@@ -4,13 +4,17 @@ Most cases drive main(argv) in process and capture stdout; one subprocess
 case checks the installed entry point end to end.  Exit codes under test:
 0 exists / success, 3 not-exists / failed verification, 2 usage, 4 state.
 """
+import hashlib
 import json
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mstiff import cli, exact_core, gegenbauer, search, stiffness
 from mstiff.cli import _parse_int, main
@@ -142,6 +146,18 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "exists", "--m", "4", "--d", "23",
                "--format", "csv")[0] == 2
+
+
+def test_exists_past_the_top_screen_limit_is_a_state_error(capsys):
+    # neither screen is affordable there, so the cell is undecided at once
+    code, out, err = run(capsys, "exists", "--m", "400002", "--d", "1e25")
+    assert (code, out) == (4, "")
+    assert err == (
+        "state error: degree 400002 in dimension 10" + "0" * 24
+        + " undecided: degree parameter 200001 exceeds the full-screen "
+        "budget and dimension 10" + "0" * 24
+        + " the top screen's limit 100000\n"
+    )
 
 
 def test_unknown_theorem_lists_tags(capsys):
@@ -846,6 +862,120 @@ def test_tables_and_verify_factor_only_off_the_table(capsys, monkeypatch):
         assert {n for name, n in calls
                 if name == "is_probable_prime"} <= {2, 3, 5}, argv
     assert {name for name, _ in calls} == {"factorize", "is_probable_prime"}
+
+
+# ---------------------------------------------------------------------------
+# Sturm isolation runs only where it must
+
+
+def sturm_spy(monkeypatch) -> tuple[list, list]:
+    """Count exact_core.isolate_real_roots calls, in every module that
+    binds it, and record each stiff_exists call, in every module that binds
+    that, with the isolations it made: returns (the verdict and count per
+    decision, the total count in a one-item list)."""
+    decisions, total = [], [0]
+    isolate, decide = exact_core.isolate_real_roots, stiffness.stiff_exists
+
+    def isolate_spy(f):
+        total[0] += 1
+        return isolate(f)
+
+    def decide_spy(*args, **kwargs):
+        before = total[0]
+        verdict = decide(*args, **kwargs)
+        decisions.append((verdict, total[0] - before))
+        return verdict
+
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "mstiff" or name.startswith("mstiff.")]
+    for mod in modules:
+        for name, original, spy in (
+                ("isolate_real_roots", isolate, isolate_spy),
+                ("stiff_exists", decide, decide_spy)):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    return decisions, total
+
+
+def test_sweeps_and_verify_isolate_no_root_of_a_not_exists_cell(
+        capsys, monkeypatch):
+    # classify --deg sweeps and every theorem check read only the stage
+    # word, so a cell refused at root certification is refused by a prime
+    decisions, total = sturm_spy(monkeypatch)
+    for m in range(6, 11):
+        code, _, _ = run(capsys, "classify", "--deg", str(m), "--max-d",
+                         "200", "--format", "json")
+        assert code == 0
+    swept = len(decisions)
+    for tag in search.theorem_tags():
+        assert search.verify_theorem(tag).passed, tag
+    assert len(decisions) > swept
+    refused = [v for v, _ in decisions
+               if search.verdict_stage(v) == "root-certification"]
+    assert len(refused) > 50
+    assert all(v.witness.prime is not None for v in refused)
+    assert all(calls == 0 for v, calls in decisions if not v.exists)
+    assert total[0] == sum(calls for _, calls in decisions)
+
+
+ROOT_WITNESSES = Path(__file__).with_name("data") / "root_witnesses.jsonl"
+
+
+@pytest.mark.parametrize("m, d, prime", [
+    (4, 25, 5), (5, 9, 5), (4, 131, 23), (5, 69, 23), (4, 271, None),
+])
+def test_exists_renders_the_sturm_witness_of_a_refused_cell(
+        capsys, monkeypatch, m, d, prime):
+    # a prime decides the cell, and exists still prints the Sturm witness;
+    # (4, 271) splits modulo every prime tried, so Sturm decides it
+    golden = {}
+    for line in ROOT_WITNESSES.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        golden[obj["m"], obj["d"]] = obj
+    decisions, total = sturm_spy(monkeypatch)
+    code, out, _ = run(capsys, "exists", "--m", str(m), "--d", str(d),
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(out) == golden[m, d]
+    assert golden[m, d]["witness"]["type"] == "root"
+    [(verdict, calls)] = decisions
+    assert verdict.witness.prime == prime
+    if prime is None:
+        # Sturm decided it, and its witness renders without a second run
+        assert calls > 0 and total[0] == calls
+    else:
+        # decided without Sturm, which runs only to render the witness
+        assert calls == 0 and total[0] > 0
+    code, out, _ = run(capsys, "exists", "--m", str(m), "--d", str(d))
+    w = golden[m, d]["witness"]
+    assert code == 3
+    assert out.splitlines()[1] == (
+        f"  witness: root certification ({w['kind']}): {w['detail']}")
+
+
+# ---------------------------------------------------------------------------
+# JSON encodings of sweep cells and checkpoint records
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=6), st.integers())
+def test_sweep_encodings_match_json_dumps(verdict, d):
+    verdict = {**verdict, "d": d}
+    compact = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert cli._digest(verdict) == \
+        hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
+    assert cli._SORTED_JSON.encode(verdict) == \
+        json.dumps(verdict, sort_keys=True)
+    line = cli._checkpoint_line("classify-deg", 6, verdict)
+    record = json.loads(line)
+    assert line == json.dumps(record, sort_keys=True) + "\n"
+    assert record["verdict"] == json.loads(json.dumps(verdict))
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mstiff.exact_core import (
+    _SPLIT_PRIMES,
     _no_root_mod_small_prime,
     _primes_upto,
+    _root_count_mod,
     NewtonPolygon,
+    clear_denominators,
     divisors_from_factors,
     factorize,
     is_probable_prime,
     isolate_real_roots,
     newton_polygon_from_valuations,
+    nonsplit_prime,
     ord_p,
     poly_eval,
     rational_roots,
@@ -671,6 +675,80 @@ def test_root_sieve_implies_no_integer_root(case, k, plant):
     if _no_root_mod_small_prime(coeffs):
         bound = 1 + max(abs(c) for c in coeffs)
         assert all(int_eval(coeffs, x) for x in range(-bound, bound + 1))
+
+
+# --- root counts modulo small primes ------------------------------------
+
+def sympy_linear_count(T, p):
+    """Roots of T in F_p with multiplicity, read off sympy's factorization
+    over GF(p): the multiplicities of its linear factors."""
+    y = sympy.Symbol("y")
+    _, factors = sympy.Poly(list(reversed(T)), y, modulus=p).factor_list()
+    return sum(e for f, e in factors if f.degree() == 1)
+
+
+def sympy_nonsplit_prime(T):
+    return next(
+        (p for p in _SPLIT_PRIMES if sympy_linear_count(T, p) < len(T) - 1),
+        None,
+    )
+
+
+@given(planted, st.integers(-10**6, 10**6))
+@example(([], [1, 0]), 0)  # y^2 + 1: irreducible mod 7, split mod 5
+@example(([3, 3, -8], []), 0)  # repeated roots split at every prime
+@example(([], [-2, 0, 0, 0]), 0)  # y^4 - 2
+def test_root_count_mod_matches_sympy_factorization(case, shift):
+    roots, factor = case
+    T = poly_mul(poly_from_roots(roots), factor + [1])
+    T = poly_mul(T, [-shift, 1])
+    for p in _SPLIT_PRIMES:
+        assert _root_count_mod(T, p) == sympy_linear_count(T, p), (T, p)
+    assert nonsplit_prime(T) == sympy_nonsplit_prime(T)
+
+
+def test_nonsplit_prime_of_section_polynomials_matches_sympy():
+    # every cell of m <= 20, d <= 300 that reaches root certification
+    checked = 0
+    for m in range(4, 21):
+        for d in range(3, 301):
+            w = stiff_exists(m, d).witness
+            if getattr(w, "cell", None) is None:
+                continue
+            T = clear_denominators(
+                s_poly(m, d), stiff_params(m, d).allowed_denominators)[1]
+            assert nonsplit_prime(T) == sympy_nonsplit_prime(T) == w.prime
+            checked += 1
+    assert checked > 300
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12))
+def test_nonsplit_prime_never_refuses_integer_roots(roots):
+    assert nonsplit_prime(poly_from_roots(roots)) is None
+
+
+@pytest.mark.parametrize("T", [[1], [0, 1], [-7, 1], [10**30 + 1, 1]])
+def test_nonsplit_prime_of_degree_at_most_one_is_none(T):
+    assert nonsplit_prime(T) is None
+
+
+def test_nonsplit_prime_requires_monic():
+    with pytest.raises(ValueError):
+        nonsplit_prime([1, 0, 2])
+    with pytest.raises(ValueError):
+        nonsplit_prime([])
+
+
+def test_clear_denominators():
+    # x^2 - 2x/3 - 1/3 has roots 1 and -1/3; y = 3x clears it to
+    # y^2 - 2y - 3
+    p = (Fraction(-1, 3), Fraction(-2, 3), 1)
+    assert clear_denominators(p, {1, 3}) == (3, [-3, -2, 1])
+    w = clear_denominators(p, {1})
+    assert w.kind == "non-integral-coefficient"
+    assert w.detail == "coefficient of degree 0 is -1/3 after clearing " \
+        "denominator 1"
+    assert rational_roots(p, {1}).witness == w
 
 
 def test_root_witness_intervals_of_section_polynomials():

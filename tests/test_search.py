@@ -293,9 +293,7 @@ def test_scan_branch_matches_stiff_exists_without_bounds(monkeypatch):
     # verify's scans settle screen rejections without stiff_exists: the n
     # they skip must be exactly the coefficient-screen verdicts of the
     # full decision, and the existing set and the check line must read as
-    # its own.  Dimension 2 (every degree exists) and the even degrees of
-    # dimension 4 (the screen rejects none, and certifying n roots grows
-    # steeply) scan a shorter run.
+    # its own.  Dimension 2 (every degree exists) scans a shorter run.
     asked = []
 
     def spy(m, dim, use_bounds=True):
@@ -306,7 +304,7 @@ def test_scan_branch_matches_stiff_exists_without_bounds(monkeypatch):
     monkeypatch.setattr(search, "stiff_exists", spy)
     for dim in range(2, 31):
         for odd_deg in (False, True):
-            hi = 20 if dim == 2 else 40 if (dim, odd_deg) == (4, False) else 80
+            hi = 20 if dim == 2 else 80
             twin = {
                 m: stiff_exists(m, dim, use_bounds=False)
                 for m in (2 * n + odd_deg for n in range(2, hi))

@@ -6,6 +6,8 @@ serve as an independent second route everywhere the two meet.
 """
 import functools
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from unittest.mock import patch
@@ -507,6 +509,20 @@ def test_top_screen_runs_only_where_it_is_cheap():
     assert (below.index, below.prime) == (100, None)
 
 
+def test_top_screen_past_its_dimension_limit_is_undecided(monkeypatch):
+    # past the full-screen budget only the top screen could decide, and its
+    # factor lists grow with dim: at dim 10^25 the cell is undecided at once
+    t0 = time.perf_counter()
+    with pytest.raises(UndecidedError, match="top screen's limit"):
+        stiff_exists(400002, 10**25)
+    assert time.perf_counter() - t0 < 1
+    # the limit is inclusive, and below it the top screen still decides
+    monkeypatch.setattr(stiffness, "_TOP_SCREEN_MAX_DIM", 1000)
+    assert stiff_exists(400002, 1000).witness.index == 200001
+    with pytest.raises(UndecidedError, match="top screen's limit 1000"):
+        stiff_exists(400002, 1002)
+
+
 def test_newton_screen_power_of_two_family():
     # dim 6: degrees with n = 2^l - 1 pass the coefficient screen but trip
     # the polygon at p=2 with slope 3/2
@@ -677,6 +693,92 @@ def test_certificate_tampering_detected():
     )
     with pytest.raises(ValueError):
         verify_certificate(replace(cert, quadrature=bad_quad))
+
+
+@given(
+    # m >= 4: for m = 2, 3 the polynomial T is linear and always splits
+    st.integers(4, 60),
+    st.one_of(st.integers(3, 400), st.integers(3, 10**25)),
+)
+@example(4, 25)
+@example(10, 4)
+@example(12, 4)
+@example(4, 23)
+@example(5, 26)
+@settings(max_examples=300)
+def test_nonsplit_prime_never_refuses_an_existing_cell(m, d):
+    # a prime at which the cleared section polynomial T has fewer roots
+    # than its degree refuses the cell, and Sturm isolation agrees that T
+    # does not split over Z; this reads T directly, so it holds whatever
+    # the screens before it decide
+    poly = s_poly(m, d)
+    allowed = stiff_params(m, d).allowed_denominators
+    cleared = exact_core.clear_denominators(poly, allowed)
+    if isinstance(cleared, exact_core.RootWitness):
+        return
+    prime = exact_core.nonsplit_prime(cleared[1])
+    if prime is None:
+        return
+    assert not stiff_exists(m, d, use_bounds=False).exists
+    assert not exact_core.rational_roots(poly, allowed).all_rational
+
+
+def test_root_certification_cells_carry_their_prime():
+    # the prime decides; the Sturm witness `exists` renders is built when
+    # read, and Sturm still finds the roots of an existing cell
+    v = stiff_exists(4, 25)
+    assert (v.witness.prime, v.witness.cell) == (5, (4, 25))
+    with patch.object(stiffness, "rational_roots",
+                      side_effect=exact_core.rational_roots) as sturm:
+        assert stiff_exists(10, 4, use_bounds=False).witness.prime == 5
+        assert sturm.call_count == 0
+        assert v.witness.root_witness.kind == "isolated-interval"
+        assert v.witness.root_witness is v.witness.root_witness
+        assert sturm.call_count == 1
+        assert stiff_exists(4, 23).exists
+        assert sturm.call_count == 2
+        # (4, 271) splits modulo every prime tried: Sturm decides it, and
+        # the witness it built is the one read, not built again
+        w = stiff_exists(4, 271).witness
+        assert (w.prime, sturm.call_count) == (None, 3)
+        assert w.root_witness.kind == "isolated-interval"
+        assert sturm.call_count == 3
+    assert stiff_exists(4, 8).witness.root_witness is None  # Newton
+
+
+def test_root_witness_contradiction_survives_optimize_flag():
+    # a refusal whose section polynomial Sturm finds to have only allowed
+    # roots is a contradiction; it must raise even under python -O, where
+    # assert statements are stripped
+    script = (
+        "from mstiff.stiffness import IrrationalRoot\n"
+        "try:\n"
+        "    IrrationalRoot(prime=5, cell=(4, 23)).root_witness\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: root certification refused m=4")
+
+
+def test_sturm_decides_what_the_primes_leave(monkeypatch):
+    # with no prime found, Sturm isolation decides and the same witness
+    # renders, so the primes only move time, never a verdict or a witness
+    cells = [(m, d) for m in range(4, 13) for d in range(3, 120)]
+    fast = [stiff_exists(m, d) for m, d in cells]
+    monkeypatch.setattr(stiffness, "nonsplit_prime", lambda T: None)
+    slow = [stiff_exists(m, d) for m, d in cells]
+    decided = 0
+    for a, b in zip(fast, slow):
+        assert a.exists == b.exists
+        if isinstance(a.witness, IrrationalRoot) and a.witness.cell:
+            decided += a.witness.prime is not None
+            assert b.witness.prime is None
+            assert a.witness.root_witness == b.witness.root_witness
+    assert decided > 50
 
 
 def test_undecided_raises_instead_of_guessing():
