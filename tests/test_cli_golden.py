@@ -20,6 +20,11 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.jsonl"
 FORMATS = ("text", "csv", "json", "markdown")
 EXISTS_DIMS = ("2", "3", "5", "10", "23", "26", "124", "2399",
                "1.000000000000000000000000000001e30")
+# (m, d) of exists branches the grid above misses: the top screen's witness
+# (no prime, no value), a witness value past the bit cap, a conservative
+# bound, and a cell past the top screen's dimension limit (exit 4)
+EXISTS_CELLS = (("200", "62"), ("322", "10000000000000000000000001"),
+                ("100", "5"), ("400002", "1e25"))
 VERIFY_TAGS = ("dim4-even-deg", "dim4-odd-deg", "dim6-even-deg", "dim6-odd-deg",
                "dim8-even-deg", "dim8-odd-deg", "dim10-even-deg",
                "dim10-odd-deg", "dim12-odd-deg", "dim14-odd-deg",
@@ -68,6 +73,9 @@ def golden_argv() -> list[list[str]]:
             for fmt in ("text", "json"):
                 cases.append(["exists", "--m", str(m), "--d", d,
                               "--format", fmt])
+    for m, d in EXISTS_CELLS:
+        for fmt in ("text", "json"):
+            cases.append(["exists", "--m", m, "--d", d, "--format", fmt])
     for precision in ("20", "5000"):
         cases.append(["exists", "--m", "4", "--d", "23",
                       "--precision", precision])
