@@ -40,9 +40,7 @@ from .exact_core import (
     perfect_square_root,
 )
 from .render import (
-    decimal_str,
     fraction_str,
-    node_str,
     render_table,
     surd_str,
     table_rows,
@@ -53,14 +51,9 @@ from .search import (
     classify_dimension,
     resolve_theorem_tag,
     theorem_tags,
-    verdict_stage,
     verify_theorem,
 )
 from .stiffness import (
-    BoundExceeded,
-    IrrationalRoot,
-    NonIntegerCoefficient,
-    StiffVerdict,
     UndecidedError,
     n_upper_bound,
     s_poly,
@@ -81,113 +74,12 @@ class StateError(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# shared rendering helpers
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _witness_json(witness) -> dict:
-    if isinstance(witness, NonIntegerCoefficient):
-        return {
-            "type": "coefficient",
-            "index": witness.index,
-            "prime": witness.prime,
-            "valuation": witness.valuation,
-            "value": None if witness.value is None
-            else fraction_str(witness.value),
-            "detail": witness.detail,
-        }
-    if isinstance(witness, BoundExceeded):
-        return {
-            "type": "bound",
-            "tag": witness.tag,
-            "threshold": witness.threshold,
-            "n": witness.n,
-            "conservative": witness.conservative,
-        }
-    if isinstance(witness, IrrationalRoot):
-        if witness.newton is not None:
-            poly = witness.newton
-            return {
-                "type": "newton-slope",
-                "prime": poly.prime,
-                "vertices": [list(v) for v in poly.vertices],
-                "slopes": [fraction_str(s) for s in poly.slopes],
-            }
-        w = witness.root_witness
-        return {
-            "type": "root",
-            "kind": w.kind,
-            "detail": w.detail,
-            "interval": None if w.interval is None
-            else [fraction_str(w.interval[0]), fraction_str(w.interval[1])],
-        }
-    raise AssertionError(f"unknown witness {witness!r}")
-
-
-def _witness_text(witness) -> str:
-    if isinstance(witness, NonIntegerCoefficient):
-        head = f"coefficient u_{witness.index} is not an integer"
-        if witness.value is not None:
-            head += f" (u_{witness.index} = {fraction_str(witness.value)})"
-        if witness.detail:
-            head += f"; {witness.detail}"
-        return head
-    if isinstance(witness, BoundExceeded):
-        kind = "conservative " if witness.conservative else ""
-        return (
-            f"degree parameter n = {witness.n} is past the {kind}"
-            f"nonexistence threshold {witness.threshold} ({witness.tag})"
-        )
-    if isinstance(witness, IrrationalRoot):
-        if witness.newton is not None:
-            poly = witness.newton
-            bad = [fraction_str(s) for s in poly.slopes if s.denominator != 1]
-            return (
-                f"Newton polygon at p = {poly.prime} has non-integer "
-                f"slope(s) {', '.join(bad)}"
-            )
-        w = witness.root_witness
-        return f"root certification ({w.kind}): {w.detail}"
-    raise AssertionError(f"unknown witness {witness!r}")
-
-
-def _verdict_sections(verdict: StiffVerdict) -> tuple[list[str], list[str]]:
-    """(zeros, lambdas) strings in outer-to-inner order, center last."""
-    cert = verdict.certificate
-    if cert is None:
-        return [], []
-    if cert.kind == "equal-weight":
-        count = verdict.m // 2 + verdict.m % 2
-        return [], [fraction_str(Fraction(1, verdict.m))] * count
-    zeros = []
-    lambdas = []
-    for square, weight in reversed(cert.quadrature.pairs):
-        zeros.append(node_str(square))
-        lambdas.append(fraction_str(weight))
-    if cert.quadrature.center_weight is not None:
-        zeros.append("0")
-        lambdas.append(fraction_str(cert.quadrature.center_weight))
-    return zeros, lambdas
-
-
 # ---------------------------------------------------------------------------
 # exists
-
-def _exists_json(verdict: StiffVerdict) -> dict:
-    """The object `exists --format json` prints for one cell."""
-    return {
-        "m": verdict.m,
-        "d": verdict.dim,
-        "verdict": "exists" if verdict.exists else "not_exists",
-        "roots": [fraction_str(r) for r in
-                  (verdict.certificate.s_roots if verdict.exists else ())],
-        "lambdas": _verdict_sections(verdict)[1],
-        "witness": None if verdict.exists else _witness_json(verdict.witness),
-    }
-
 
 def cmd_exists(args: argparse.Namespace) -> int:
     m, d = args.m, args.d
@@ -197,41 +89,10 @@ def cmd_exists(args: argparse.Namespace) -> int:
         raise StateError(str(e)) from e
 
     if args.format == "json":
-        _emit(json.dumps(_exists_json(verdict), indent=2) + "\n")
-        return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
-
-    zeros, lambdas = _verdict_sections(verdict)
-    if not verdict.exists:
-        _emit(
-            f"NotExists: no {m}-stiff configuration on S^{d - 1} (d = {d})\n"
-            f"  witness: {_witness_text(verdict.witness)}\n"
-        )
-        return EXIT_NOT_EXISTS
-
-    lines = [f"Exists: a {m}-stiff configuration on S^{d - 1} (d = {d})"]
-    cert = verdict.certificate
-    if cert.kind == "equal-weight":
-        lines.append(
-            f"  the regular {2 * m}-gon on the circle; every section "
-            f"weight {fraction_str(Fraction(1, m))}"
-        )
+        _emit(json.dumps(verdict.to_json(), indent=2) + "\n")
     else:
-        if cert.s_roots:
-            lines.append(
-                "  section polynomial roots: "
-                + ", ".join(fraction_str(r) for r in cert.s_roots)
-            )
-        shown = []
-        for square, z in zip(
-            [sq for sq, _ in reversed(cert.quadrature.pairs)], zeros
-        ):
-            shown.append(f"+-{z} (~ {decimal_str(square, args.precision)})")
-        if cert.quadrature.center_weight is not None:
-            shown.append("0")
-        lines.append("  sections (outer to inner): " + ", ".join(shown))
-        lines.append("  weights: " + ", ".join(lambdas))
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+        _emit(verdict.to_text(args.precision) + "\n")
+    return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +339,7 @@ def _sweep_cell(args: tuple[int, int]) -> dict:
         "m": m,
         "d": d,
         "verdict": "not_exists",
-        "witness": verdict_stage(verdict),
+        "witness": verdict.stage,
     }
 
 

@@ -120,11 +120,9 @@ def factorize(n: int) -> dict[int, int]:
         return out
     if n >> 32:
         raise ValueError(f"cannot factor {n}: at least 2^32")
-    out, rough = smooth_part(n, _SMALL_PRIME_LIMIT - 1)
-    # a leftover below 2^32 with no prime factor below 2^16 is a prime
-    if rough > 1:
-        out[rough] = 1
-    return out
+    # below 2^32 no cofactor is left: it would have no prime factor below
+    # 2^16, so smooth_part enters it as a prime
+    return smooth_part(n, _SMALL_PRIME_LIMIT - 1)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -150,10 +148,11 @@ def smooth_part(x: int, bound: int) -> tuple[dict[int, int], int]:
     The map gives the exact exponent in x of every prime <= bound, and of
     some larger primes: x < 2^16 is read off the least-factor table, as is
     a leftover that trial division brings below 2^16, and a leftover with
-    no prime factor up to its square root is a prime.  The cofactor is 1,
-    or a number of at least 2^16 with no prime factor <= bound, left
-    unfactored.  With bound 2^16 - 1, a cofactor below 2^32 is a prime,
-    and one below 2^48 is p, pq or p^2.
+    no prime factor up to its square root (or below (bound + 1)^2 once
+    every prime <= bound is tried) is a prime.  The cofactor is 1, or a
+    number of at least 2^16 and (bound + 1)^2 with no prime factor
+    <= bound, left unfactored.  So a bound of at least sqrt(x) splits x
+    whole; with bound 2^16 - 1, a cofactor below 2^48 is p, pq or p^2.
     """
     if x < _SMALL_PRIME_LIMIT:
         return factorize(x), 1
@@ -172,6 +171,9 @@ def smooth_part(x: int, bound: int) -> tuple[dict[int, int], int]:
             if x < _SMALL_PRIME_LIMIT:
                 out.update(factorize(x))
                 return out, 1
+    if x <= bound * (bound + 2):  # below (bound + 1)^2
+        out[x] = 1
+        return out, 1
     return out, x
 
 
@@ -477,20 +479,10 @@ _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def _no_root_mod_small_prime(coeffs: Sequence[int]) -> bool:
-    """True if some prime p <= 19 leaves the integer polynomial without a
-    root mod p, which proves it has no integer root (an integer root k
-    gives the root k mod p)."""
-    for p in _SIEVE_PRIMES:
-        cs = [c % p for c in reversed(coeffs)]
-        for x in range(p):
-            acc = 0
-            for c in cs:
-                acc = (acc * x + c) % p
-            if acc == 0:
-                break
-        else:
-            return True
-    return False
+    """True if some prime p <= 19 leaves the monic integer polynomial
+    without a root mod p, which proves it has no integer root (an integer
+    root k gives the root k mod p)."""
+    return any(_root_count_mod(coeffs, p) == 0 for p in _SIEVE_PRIMES)
 
 
 def _settle(f: Sequence[int], iv: RootInterval) -> tuple[Optional[int], RootInterval]:

@@ -15,7 +15,6 @@ a, b.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -327,9 +326,6 @@ class QuadSurd:
 
     def __ge__(self, other: SurdLike) -> bool:
         return (self - other)._sign() >= 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.c)
 
 
 def surd_sqrt(f: Fraction | int) -> QuadSurd:

@@ -28,11 +28,7 @@ from .diophantine import (
 )
 from .exact_core import divisors_from_factors, factorize
 from .stiffness import (
-    BoundExceeded,
     BoundResult,
-    IrrationalRoot,
-    NonIntegerCoefficient,
-    StiffVerdict,
     UndecidedError,
     _closed_top_parts,
     n_upper_bound,
@@ -53,7 +49,6 @@ __all__ = [
     "theorem_tags",
     "resolve_theorem_tag",
     "verify_theorem",
-    "verdict_stage",
 ]
 
 
@@ -271,21 +266,6 @@ class DimClassification:
     branches: tuple[BranchOutcome, ...]
 
 
-def verdict_stage(verdict: StiffVerdict) -> str:
-    """The status word a candidate row or sweep cell reports for a
-    verdict: "exists", or the kind of its nonexistence witness."""
-    if verdict.exists:
-        return "exists"
-    w = verdict.witness
-    if isinstance(w, NonIntegerCoefficient):
-        return "coefficient-screen"
-    if isinstance(w, BoundExceeded):
-        return "bound"
-    if isinstance(w, IrrationalRoot):
-        return "newton-screen" if w.newton is not None else "root-certification"
-    return "unknown"
-
-
 def _decide_candidates(
     dim: int, odd_deg: bool, ns: Sequence[int]
 ) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
@@ -325,7 +305,7 @@ def _decide_candidates(
             rows.append(CandidateOutcome(n, m, "unresolved"))
             unresolved.append(m)
             continue
-        rows.append(CandidateOutcome(n, m, verdict_stage(verdict)))
+        rows.append(CandidateOutcome(n, m, verdict.stage))
         if verdict.exists:
             existing.append(m)
     return tuple(rows), tuple(existing), tuple(unresolved)

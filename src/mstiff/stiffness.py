@@ -41,6 +41,7 @@ from .gegenbauer import (
     node_square_poly,
     quadrature_from_node_squares,
 )
+from .render import decimal_str, fraction_str, node_str
 
 __all__ = [
     "StiffParams",
@@ -143,6 +144,11 @@ def s_poly(m: int, dim: int) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # witnesses
+#
+# Each witness names the stage that settled its cell (`stage`, the word a
+# sweep cell or scan row reports) and renders itself: `to_json()` is the
+# "witness" object of `mstiff exists --format json`, `to_text()` its text
+# witness line.
 
 @dataclass(frozen=True)
 class NonIntegerCoefficient:
@@ -157,6 +163,26 @@ class NonIntegerCoefficient:
     valuation: Optional[int]
     value: Optional[Fraction]
     detail: str = ""
+
+    stage = "coefficient-screen"
+
+    def to_json(self) -> dict:
+        return {
+            "type": "coefficient",
+            "index": self.index,
+            "prime": self.prime,
+            "valuation": self.valuation,
+            "value": None if self.value is None else fraction_str(self.value),
+            "detail": self.detail,
+        }
+
+    def to_text(self) -> str:
+        head = f"coefficient u_{self.index} is not an integer"
+        if self.value is not None:
+            head += f" (u_{self.index} = {fraction_str(self.value)})"
+        if self.detail:
+            head += f"; {self.detail}"
+        return head
 
 
 @dataclass(frozen=True)
@@ -192,6 +218,40 @@ class IrrationalRoot:
             )
         return rep.witness
 
+    @property
+    def stage(self) -> str:
+        return "newton-screen" if self.newton is not None \
+            else "root-certification"
+
+    def to_json(self) -> dict:
+        poly = self.newton
+        if poly is not None:
+            return {
+                "type": "newton-slope",
+                "prime": poly.prime,
+                "vertices": [list(v) for v in poly.vertices],
+                "slopes": [fraction_str(s) for s in poly.slopes],
+            }
+        w = self.root_witness
+        return {
+            "type": "root",
+            "kind": w.kind,
+            "detail": w.detail,
+            "interval": None if w.interval is None
+            else [fraction_str(w.interval[0]), fraction_str(w.interval[1])],
+        }
+
+    def to_text(self) -> str:
+        poly = self.newton
+        if poly is not None:
+            bad = [fraction_str(s) for s in poly.slopes if s.denominator != 1]
+            return (
+                f"Newton polygon at p = {poly.prime} has non-integer "
+                f"slope(s) {', '.join(bad)}"
+            )
+        w = self.root_witness
+        return f"root certification ({w.kind}): {w.detail}"
+
 
 @dataclass(frozen=True)
 class BoundExceeded:
@@ -201,6 +261,24 @@ class BoundExceeded:
     threshold: int
     n: int
     conservative: bool
+
+    stage = "bound"
+
+    def to_json(self) -> dict:
+        return {
+            "type": "bound",
+            "tag": self.tag,
+            "threshold": self.threshold,
+            "n": self.n,
+            "conservative": self.conservative,
+        }
+
+    def to_text(self) -> str:
+        kind = "conservative " if self.conservative else ""
+        return (
+            f"degree parameter n = {self.n} is past the {kind}"
+            f"nonexistence threshold {self.threshold} ({self.tag})"
+        )
 
 
 Witness = Union[NonIntegerCoefficient, IrrationalRoot, BoundExceeded]
@@ -318,10 +396,13 @@ def _first_bad_step(
     multiplies by (n-r+1)(shift+2r-2) and divides by r(2r-2+step); a
     factor below 2^16 is split by reading the least-factor table in
     place, a larger one by `smooth_part` (exact for the three factors of
-    at most B).  No primality test is made."""
+    at most B).  Its trial division stops at the smaller of B and the
+    square root of the largest step factor, shift+2n-2: past that root
+    every factor splits whole, so no sieve reaches 2n when dim is small.
+    No primality test is made."""
     n, shift, step = p.n, p.shift, p.denominator_step
     allowed = 3 if p.odd else 0
-    bound = 2 * n - 2 + step
+    bound = min(2 * n - 2 + step, math.isqrt(shift + 2 * n - 2))
     least, limit = _least_factor, _SMALL_PRIME_LIMIT
     exps: dict[int, int] = {}
     get = exps.get
@@ -385,8 +466,12 @@ def scan_rejects(dim: int, odd_deg: bool, ns: Iterable[int]) -> list[bool]:
     return out
 
 
+# the primes whose Newton polygons stiff_exists tries, in order
+_NEWTON_PRIMES = (2, 3, 5)
+
+
 def screen_coefficients(
-    m: int, dim: int, track_primes: Sequence[int] = (2, 3, 5)
+    m: int, dim: int, track_primes: Sequence[int] = _NEWTON_PRIMES
 ) -> ScreenReport:
     """Find the first coefficient u_r with a forbidden denominator and
     report it, or, on success, return the tracked valuations, so a Newton
@@ -561,7 +646,7 @@ def top_coefficient_screen(m: int, dim: int) -> Optional[NonIntegerCoefficient]:
 def newton_screen(
     m: int,
     dim: int,
-    primes: Sequence[int] = (2, 3, 5),
+    primes: Sequence[int] = _NEWTON_PRIMES,
     report: Optional[ScreenReport] = None,
 ) -> Optional[NewtonPolygon]:
     """First Newton polygon with a fractional slope among the given primes,
@@ -762,6 +847,10 @@ def verify_certificate(cert: StiffCertificate) -> None:
 
 @dataclass(frozen=True)
 class StiffVerdict:
+    """The decision on one (m, dim) cell: a verified certificate when the
+    configuration exists, a witness when it does not.  `stage` and the
+    renderers are what `mstiff exists` and the sweeps print."""
+
     m: int
     dim: int
     exists: bool
@@ -769,8 +858,67 @@ class StiffVerdict:
     witness: Optional[Witness]
 
     @property
-    def decision(self) -> str:
-        return "Exists" if self.exists else "NotExists"
+    def stage(self) -> str:
+        """"exists", or the stage of the nonexistence witness."""
+        return "exists" if self.exists else self.witness.stage
+
+    def _weights(self) -> list[str]:
+        """Section weights in outer-to-inner order, center last."""
+        cert = self.certificate
+        if cert is None:
+            return []
+        if cert.kind == "equal-weight":
+            count = self.m // 2 + self.m % 2
+            return [fraction_str(Fraction(1, self.m))] * count
+        quad = cert.quadrature
+        out = [fraction_str(weight) for _, weight in reversed(quad.pairs)]
+        if quad.center_weight is not None:
+            out.append(fraction_str(quad.center_weight))
+        return out
+
+    def to_json(self) -> dict:
+        """The object `mstiff exists --format json` prints."""
+        return {
+            "m": self.m,
+            "d": self.dim,
+            "verdict": "exists" if self.exists else "not_exists",
+            "roots": [fraction_str(r) for r in
+                      (self.certificate.s_roots if self.exists else ())],
+            "lambdas": self._weights(),
+            "witness": None if self.exists else self.witness.to_json(),
+        }
+
+    def to_text(self, precision: int) -> str:
+        """The text `mstiff exists` prints, without its final newline;
+        section positions get `precision` decimal digits."""
+        m, d = self.m, self.dim
+        if not self.exists:
+            return (
+                f"NotExists: no {m}-stiff configuration on S^{d - 1} "
+                f"(d = {d})\n  witness: {self.witness.to_text()}"
+            )
+        lines = [f"Exists: a {m}-stiff configuration on S^{d - 1} (d = {d})"]
+        cert = self.certificate
+        if cert.kind == "equal-weight":
+            lines.append(
+                f"  the regular {2 * m}-gon on the circle; every section "
+                f"weight {fraction_str(Fraction(1, m))}"
+            )
+            return "\n".join(lines)
+        if cert.s_roots:
+            lines.append(
+                "  section polynomial roots: "
+                + ", ".join(fraction_str(r) for r in cert.s_roots)
+            )
+        shown = [
+            f"+-{node_str(square)} (~ {decimal_str(square, precision)})"
+            for square, _ in reversed(cert.quadrature.pairs)
+        ]
+        if cert.quadrature.center_weight is not None:
+            shown.append("0")
+        lines.append("  sections (outer to inner): " + ", ".join(shown))
+        lines.append("  weights: " + ", ".join(self._weights()))
+        return "\n".join(lines)
 
 
 class UndecidedError(RuntimeError):
@@ -810,12 +958,7 @@ def _exists_verdict(m: int, dim: int, roots: Sequence[Fraction]) -> StiffVerdict
     return StiffVerdict(m, dim, True, cert, None)
 
 
-def stiff_exists(
-    m: int,
-    dim: int,
-    use_bounds: bool = True,
-    newton_primes: Sequence[int] = (2, 3, 5),
-) -> StiffVerdict:
+def stiff_exists(m: int, dim: int, use_bounds: bool = True) -> StiffVerdict:
     """Decide whether a degree-m stiff configuration exists on the unit
     sphere in R^dim, with a verified certificate or a checkable witness.
 
@@ -870,11 +1013,11 @@ def stiff_exists(
             m, dim, f"degree parameter {n} exceeds the full-screen budget"
         )
 
-    report = screen_coefficients(m, dim, track_primes=tuple(newton_primes))
+    report = screen_coefficients(m, dim)
     if report.witness is not None:
         return StiffVerdict(m, dim, False, None, report.witness)
 
-    polygon = newton_screen(m, dim, primes=newton_primes, report=report)
+    polygon = newton_screen(m, dim, report=report)
     if polygon is not None:
         return StiffVerdict(m, dim, False, None, IrrationalRoot(newton=polygon))
 

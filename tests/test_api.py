@@ -3,7 +3,8 @@
 Every name a submodule lists in ``__all__``, and every top-level function
 and class, is either re-exported by the package or used somewhere in
 ``src/mstiff``: an export that nothing calls is dead code with a promise
-attached, and a helper that nothing calls is dead code.
+attached, and a helper that nothing calls is dead code.  The same holds
+for every method and property of a class, dunders aside.
 """
 import ast
 import importlib
@@ -57,3 +58,82 @@ def test_no_uncalled_module_helpers():
         and node.name not in used
     ]
     assert not uncalled, f"defined but never used in src/: {uncalled}"
+
+
+def test_no_unread_methods():
+    # a method or property nothing in src/ reads is an answer nobody asks
+    # for; dunders are called by the language, not by name
+    used = used_names()
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert not unread, f"methods never read in src/: {unread}"
+
+
+# the benchmark's traced run wraps library functions by name and reads
+# verdict and witness fields by name, so a rename must fail here rather
+# than in that run; the tracer is parsed, never imported
+TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
+
+
+def _has_attr(cls, name: str) -> bool:
+    return name in getattr(cls, "__dataclass_fields__", {}) \
+        or hasattr(cls, name)
+
+
+def test_bench_tracer_names_resolve():
+    tree = ast.parse(TRACER.read_text())
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)]
+        == ["TRACED"]
+    )
+    assert traced
+    missing = [
+        f"{layer}.{fn}" for layer, fn, _ in traced
+        if not hasattr(importlib.import_module(f"mstiff.{layer}"), fn)
+    ]
+    assert not missing, f"traced but not in mstiff: {missing}"
+
+
+def test_bench_tracer_reads_existing_witness_fields():
+    tree = ast.parse(TRACER.read_text())
+    stiffness = importlib.import_module("mstiff.stiffness")
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == \
+                "mstiff.stiffness":
+            for alias in node.names:
+                assert hasattr(stiffness, alias.name), alias.name
+    stage = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "decided_stage")
+    # (class, field) for each `verdict.X`, and each `w.X` under an
+    # `if isinstance(w, Class)`
+    reads = {(stiffness.StiffVerdict, node.attr)
+             for node in ast.walk(stage)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "verdict"}
+    for branch in ast.walk(stage):
+        test = getattr(branch, "test", None)
+        if not (isinstance(branch, ast.If) and isinstance(test, ast.Call)
+                and getattr(test.func, "id", None) == "isinstance"):
+            continue
+        var, cls = test.args[0].id, getattr(stiffness, test.args[1].id)
+        reads |= {(cls, node.attr)
+                  for stmt in branch.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == var}
+    assert {name for _, name in reads} >= {"newton", "prime"}
+    gone = [f"{cls.__name__}.{name}" for cls, name in reads
+            if not _has_attr(cls, name)]
+    assert not gone, f"decided_stage reads missing fields: {gone}"

@@ -911,7 +911,7 @@ def test_sweeps_and_verify_isolate_no_root_of_a_not_exists_cell(
         assert search.verify_theorem(tag).passed, tag
     assert len(decisions) > swept
     refused = [v for v, _ in decisions
-               if search.verdict_stage(v) == "root-certification"]
+               if v.stage == "root-certification"]
     assert len(refused) > 50
     assert all(v.witness.prime is not None for v in refused)
     assert all(calls == 0 for v, calls in decisions if not v.exists)

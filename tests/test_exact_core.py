@@ -165,6 +165,8 @@ def test_smooth_part_splits_off_every_prime_up_to_the_bound(x, low, high):
     (65537, 0, ({}, 65537)),  # nothing to split off
     (65537 * 65539, 1000, ({}, 65537 * 65539)),  # rough, left unfactored
     (3 * 65537**2, 10**5, ({3: 1, 65537: 2}, 1)),  # primes past the table
+    (65537, 256, ({65537: 1}, 1)),  # no prime <= 256, below 257^2: a prime
+    (257 * 263, 256, ({}, 257 * 263)),  # no prime <= 256, past 257^2: rough
 ])
 def test_smooth_part_edges(x, bound, split):
     assert smooth_part(x, bound) == split

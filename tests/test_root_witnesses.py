@@ -9,7 +9,6 @@ it, as compact JSON.  After a deliberate change, rewrite the file with
 import json
 from pathlib import Path
 
-from mstiff.cli import _exists_json
 from mstiff.stiffness import IrrationalRoot, stiff_exists
 
 GOLDEN = Path(__file__).with_name("data") / "root_witnesses.jsonl"
@@ -24,7 +23,7 @@ def root_stage_lines() -> dict[tuple[int, int], str]:
             if v.exists or (
                 isinstance(w, IrrationalRoot) and w.root_witness is not None
             ):
-                out[m, d] = json.dumps(_exists_json(v))
+                out[m, d] = json.dumps(v.to_json())
     return out
 
 

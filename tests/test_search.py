@@ -26,7 +26,6 @@ from mstiff.search import (
     divisor_candidates,
     resolve_theorem_tag,
     theorem_tags,
-    verdict_stage,
     verify_theorem,
 )
 from mstiff.stiffness import (
@@ -134,7 +133,7 @@ def _rows_without_cascade(dim, odd_deg, ns, use_bounds=True):
     for n in ns:
         m = 2 * n + 1 if odd_deg else 2 * n
         try:
-            status = verdict_stage(stiff_exists(m, dim, use_bounds=use_bounds))
+            status = stiff_exists(m, dim, use_bounds=use_bounds).stage
         except UndecidedError:
             status = "unresolved"
         rows.append((n, m, status))
@@ -314,7 +313,7 @@ def test_scan_branch_matches_stiff_exists_without_bounds(monkeypatch):
             existing = search._scan_branch(dim, odd_deg, 2, hi, checks, "scan")
             assert set(twin) - set(asked) == {
                 m for m, v in twin.items()
-                if verdict_stage(v) == "coefficient-screen"
+                if v.stage == "coefficient-screen"
             }, (dim, odd_deg)
             expected = {m for m, v in twin.items() if v.exists}
             assert existing == expected, (dim, odd_deg)

@@ -6,6 +6,7 @@ serve as an independent second route everywhere the two meet.
 """
 import functools
 import math
+import random
 import subprocess
 import sys
 import time
@@ -372,6 +373,40 @@ def test_screen_tracks_a_prime_far_past_its_bound(
     assert screen_coefficients(m, dim, track).valuations[FAR] == far_exponents
     assert bounds
     assert_screen_matches_product_walk(m, dim, track)
+
+
+def test_witness_sieve_stops_at_the_root_of_the_largest_factor(monkeypatch):
+    # large n in small even dimensions: B = 2n - 2 + step reaches 4 * 10^5,
+    # but every step factor is at most shift + 2n - 2, so trial division
+    # up to its root splits each one whole, and no sieve is built past it
+    rng = random.Random(19)
+    cells = [(2 * rng.randrange(2000, 200_000) + rng.randrange(2),
+              2 * rng.randrange(32, 82)) for _ in range(12)]
+    bounds = []
+    original = exact_core._primes_upto
+
+    def spy(bound):
+        bounds.append(bound)
+        return original(bound)
+
+    monkeypatch.setattr(exact_core, "_primes_upto", spy)
+    sieved = 0
+    for m, dim in cells:
+        p = stiff_params(m, dim)
+        bounds.clear()
+        r, exps, rough = stiffness._first_bad_step(p)
+        # only a factor of 2^16 or more is trial-divided
+        sieved += bool(bounds)
+        root = math.isqrt(p.shift + 2 * p.n - 2)
+        assert all(b <= min(root, 2 * p.n + 1) for b in bounds), (m, dim)
+        # no prime up to B, nor any other, is left in a cofactor
+        assert rough == []
+        witness = screen_coefficients(m, dim).witness
+        twin = product_walk_screen(m, dim)[0]
+        assert_witness_matches_twin(witness, twin)
+        assert {q: e for q, e in exps.items() if e} == {
+            q: e for q, e in twin[3].items() if e}
+    assert sieved >= 6
 
 
 @pytest.fixture
