@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -28,7 +29,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .diophantine import UnitElement, fundamental_unit, pell_representatives
@@ -198,27 +199,155 @@ _COMPACT_SORTED_JSON = json.JSONEncoder(
 
 
 def _digest(verdict: dict) -> str:
-    blob = _COMPACT_SORTED_JSON.encode(verdict)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    return _digest_of(_COMPACT_SORTED_JSON.encode(verdict))
+
+
+def _digest_of(compact: str) -> str:
+    return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
 
 
 # the verdict words a sweep cell can record (see _sweep_cell)
 _CELL_VERDICTS = ("exists", "not_exists", "undecided")
 
 
-def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
-    """Cell verdicts keyed by dimension; raises StateError when corrupt.
+class SweepRow(NamedTuple):
+    """One sweep cell as the outputs print it: the verdict word (text),
+    the CSV detail column, and the JSON row."""
+    verdict: str
+    detail: object
+    row: str
+
+
+def _sweep_row(verdict: dict) -> SweepRow:
+    return SweepRow(
+        verdict["verdict"],
+        verdict.get("witness") or verdict.get("reason") or "",
+        _SORTED_JSON.encode(verdict),
+    )
+
+
+# A record in the form _checkpoint_line writes: sorted keys, ", " and ": "
+# separators, ASCII only, integers as 0|-?[1-9][0-9]*, strings without
+# escapes.  Such a line is valid JSON, and its verdict object's bytes are
+# the sweep row.  The strings inside the verdict also hold no "," or ":",
+# so dropping the space after every ", " and ": " in the row leaves the
+# compact encoding _digest hashes.
+_INT = r"0|-?[1-9][0-9]*"
+# printable ASCII less the quote and the backslash; a reused string (_WORD)
+# also holds no comma or colon
+_TEXT = r'[\x20\x21\x23-\x5b\x5d-\x7e]*'
+_WORD = r'[\x20\x21\x23-\x2b\x2d-\x39\x3b-\x5b\x5d-\x7e]*'
+_CANONICAL_RECORD = re.compile(
+    rf'\{{"cell": \[(?P<cell_m>{_INT}), (?P<cell_d>{_INT})\], '
+    rf'"digest": "(?P<digest>[0-9a-f]{{12}})", '
+    rf'"kind": "(?P<kind>{_TEXT})", "ts": "{_TEXT}", '
+    rf'"verdict": (?P<row>\{{"d": (?P<d>{_INT}), "m": (?P<m>{_INT}), '
+    rf'(?:"reason": "(?P<reason>{_WORD})", )?'
+    rf'(?:"roots": \[(?:"{_WORD}"(?:, "{_WORD}")*)?\], )?'
+    rf'"verdict": "(?P<verdict>{"|".join(_CELL_VERDICTS)})"'
+    rf'(?:, "witness": "(?P<witness>{_WORD})")?\}}), '
+    rf'"version": "(?P<version>{_TEXT})"\}}'
+)
+
+
+def _canonical_record(
+    line: str, kind: str, m: int
+) -> Optional[tuple[int, SweepRow]]:
+    """(d, row) of a canonical record that passes every check
+    `_checked_record` makes, read without decoding JSON; None for any other
+    line, which `_checked_record` then decides."""
+    match = _CANONICAL_RECORD.fullmatch(line)
+    if match is None:
+        return None
+    (cell_m, cell_d, digest, rec_kind, row, d, vm, reason, word, witness,
+     version) = match.group(
+        "cell_m", "cell_d", "digest", "kind", "row", "d", "m", "reason",
+        "verdict", "witness", "version")
+    if (
+        rec_kind != kind or version != __version__ or int(cell_m) != m
+        or vm != cell_m or d != cell_d
+        or _digest_of(row.replace(", ", ",").replace(": ", ":")) != digest
+    ):
+        return None
+    return int(d), SweepRow(word, witness or reason or "", row)
+
+
+def _checked_record(
+    line: str, kind: str, m: int, where: str
+) -> tuple[int, SweepRow]:
+    """(d, row) of one checkpoint line, decoded as JSON; raises StateError
+    naming `where` when the record is refused."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise StateError(f"{where}: invalid JSON ({e.msg})") from e
+    if not isinstance(obj, dict):
+        raise StateError(f"{where}: record is not a JSON object")
+    missing = {"kind", "cell", "verdict", "digest", "ts", "version"} \
+        - set(obj)
+    if missing:
+        raise StateError(f"{where}: missing fields {sorted(missing)}")
+    if obj["kind"] != kind:
+        raise StateError(
+            f"{where}: kind {obj['kind']!r} does not match this run "
+            f"({kind!r})"
+        )
+    if obj["version"] != __version__:
+        raise StateError(
+            f"{where}: version {obj['version']!r} does not match "
+            f"{__version__!r}"
+        )
+    cell = obj["cell"]
+    if (
+        not isinstance(cell, list) or len(cell) != 2
+        or not all(type(v) is int for v in cell)
+    ):
+        raise StateError(f"{where}: malformed cell {cell!r}")
+    if cell[0] != m:
+        raise StateError(
+            f"{where}: cell degree {cell[0]} belongs to a different sweep "
+            f"(this run is m = {m})"
+        )
+    if _digest(obj["verdict"]) != obj["digest"]:
+        raise StateError(f"{where}: digest mismatch (record corrupt)")
+    verdict = obj["verdict"]
+    if (
+        not isinstance(verdict, dict)
+        or [verdict.get("m"), verdict.get("d")] != cell
+        or [type(verdict["m"]), type(verdict["d"])] != [int, int]
+        or verdict.get("verdict") not in _CELL_VERDICTS
+    ):
+        raise StateError(
+            f"{where}: verdict is not an {'/'.join(_CELL_VERDICTS)} record "
+            f"of cell {cell}"
+        )
+    return cell[1], _sweep_row(verdict)
+
+
+def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, SweepRow]:
+    """Sweep rows keyed by dimension; raises StateError when corrupt.
 
     Each line must be a JSON object with every record field, of this
     sweep's kind, version and degree, with its digest, and with a verdict
     object whose m and d are the integers of its cell and whose verdict
-    word is one `_sweep_cell` writes; anything else names its line.  A
-    crash mid-append leaves one unterminated final line.  If it does not
+    word is one `_sweep_cell` writes; anything else names its line.  Two
+    records of one cell must agree on its row (concurrent sweeps write the
+    same row under different timestamps); a disagreeing pair names both
+    lines.
+
+    A line in the canonical form `_checkpoint_line` writes is checked by
+    one pattern match and one sha256, without decoding or re-encoding JSON
+    (`_canonical_record`); its verdict bytes are the row the sweep prints.
+    Any other line, valid or not, is decoded and checked field by field
+    (`_checked_record`), which also gives every refusal its message.
+
+    A crash mid-append leaves one unterminated final line.  If it does not
     parse, it is dropped; if it does, it is checked like any record.  Only
     once every record is accepted is the file repaired: a dropped line is
     cut from it, a kept one gets its newline, so the next append starts
     on a fresh line.  A refused file is left as it was."""
-    replayed: dict[int, dict] = {}
+    replayed: dict[int, SweepRow] = {}
+    first_line: dict[int, int] = {}
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -237,66 +366,23 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, dict]:
     except UnicodeDecodeError as e:
         raise StateError(f"checkpoint {path}: not UTF-8 text ({e})") from e
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise StateError(
-                f"checkpoint {path} line {lineno}: invalid JSON ({e.msg})"
-            ) from e
-        if not isinstance(obj, dict):
-            raise StateError(
-                f"checkpoint {path} line {lineno}: record is not a JSON "
-                "object"
+        record = _canonical_record(line, kind, m)
+        if record is None:
+            if not line.strip():
+                continue
+            record = _checked_record(
+                line, kind, m, f"checkpoint {path} line {lineno}"
             )
-        missing = {"kind", "cell", "verdict", "digest", "ts", "version"} \
-            - set(obj)
-        if missing:
+        d, row = record
+        earlier = replayed.get(d)
+        if earlier is None:
+            replayed[d] = row
+            first_line[d] = lineno
+        elif earlier.row != row.row:
             raise StateError(
-                f"checkpoint {path} line {lineno}: missing fields "
-                f"{sorted(missing)}"
+                f"checkpoint {path} line {lineno}: cell {[m, d]} disagrees "
+                f"with line {first_line[d]}"
             )
-        if obj["kind"] != kind:
-            raise StateError(
-                f"checkpoint {path} line {lineno}: kind {obj['kind']!r} "
-                f"does not match this run ({kind!r})"
-            )
-        if obj["version"] != __version__:
-            raise StateError(
-                f"checkpoint {path} line {lineno}: version "
-                f"{obj['version']!r} does not match {__version__!r}"
-            )
-        cell = obj["cell"]
-        if (
-            not isinstance(cell, list) or len(cell) != 2
-            or not all(type(v) is int for v in cell)
-        ):
-            raise StateError(
-                f"checkpoint {path} line {lineno}: malformed cell {cell!r}"
-            )
-        if cell[0] != m:
-            raise StateError(
-                f"checkpoint {path} line {lineno}: cell degree {cell[0]} "
-                f"belongs to a different sweep (this run is m = {m})"
-            )
-        if _digest(obj["verdict"]) != obj["digest"]:
-            raise StateError(
-                f"checkpoint {path} line {lineno}: digest mismatch "
-                "(record corrupt)"
-            )
-        verdict = obj["verdict"]
-        if (
-            not isinstance(verdict, dict)
-            or [verdict.get("m"), verdict.get("d")] != cell
-            or [type(verdict["m"]), type(verdict["d"])] != [int, int]
-            or verdict.get("verdict") not in _CELL_VERDICTS
-        ):
-            raise StateError(
-                f"checkpoint {path} line {lineno}: verdict is not an "
-                f"{'/'.join(_CELL_VERDICTS)} record of cell {cell}"
-            )
-        replayed[cell[1]] = verdict
     if keep < len(data):
         try:
             with path.open("r+b") as fh:
@@ -349,16 +435,17 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--max-d must be at least 3 (the range is empty)")
     kind = "classify-deg"
     grid = range(3, max_d + 1)
-    replayed: dict[int, dict] = {}
+    cells: dict[int, SweepRow] = {}
     ckpt: Optional[Path] = None
     if args.checkpoint is not None:
         ckpt = Path(args.checkpoint)
-        replayed = {
-            d: v for d, v in _load_checkpoint(ckpt, kind, m).items()
+        cells = {
+            d: row for d, row in _load_checkpoint(ckpt, kind, m).items()
             if d in grid
         }
+    replayed = len(cells)
     # walked lazily, so a budgeted run never builds the whole grid
-    pending = ((m, d) for d in grid if d not in replayed)
+    pending = ((m, d) for d in grid if d not in cells)
     todo = list(
         pending if budget is None else itertools.islice(pending, budget + 1)
     )
@@ -366,7 +453,6 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
     if budget_exhausted:
         todo.pop()
 
-    computed: list[dict] = []
     with ExitStack() as stack:
         if args.workers > 1 and len(todo) > 1:
             chunk = max(1, len(todo) // (args.workers * 8))
@@ -384,26 +470,24 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
         # each cell reaches the checkpoint as soon as it is decided, so an
         # interrupted sweep resumes where it stopped
         for cell in results:
-            computed.append(cell)
+            cells[cell["d"]] = _sweep_row(cell)
             if fh is not None:
                 fh.write(_checkpoint_line(kind, m, cell))
                 fh.flush()
 
-    cells = sorted(
-        list(replayed.values()) + computed, key=lambda c: c["d"]
-    )
-    positives = [c for c in cells if c["verdict"] == "exists"]
-    undecided = [c for c in cells if c["verdict"] == "undecided"]
+    ordered = sorted(cells.items())
+    positives = [d for d, c in ordered if c.verdict == "exists"]
+    undecided = [d for d, c in ordered if c.verdict == "undecided"]
     complete = not budget_exhausted and not undecided
     summary = {
         "summary": True,
         "m": m,
         "max_d": max_d,
         "cells": len(grid),
-        "cells_examined": len(computed),
-        "cells_replayed": len(replayed),
-        "admissible": [c["d"] for c in positives],
-        "undecided": [c["d"] for c in undecided],
+        "cells_examined": len(todo),
+        "cells_replayed": replayed,
+        "admissible": positives,
+        "undecided": undecided,
         "complete_below_max_d": complete,
         "note": (
             "d = 2 admits every degree and is not part of the grid; "
@@ -415,7 +499,7 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
     }
 
     if args.format == "json":
-        out = [_SORTED_JSON.encode(c) for c in cells]
+        out = [c.row for _, c in ordered]
         out.append(_SORTED_JSON.encode(summary))
         _emit("\n".join(out) + "\n")
         return EXIT_OK
@@ -426,27 +510,24 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
         buf = _io.StringIO()
         w = _csv.writer(buf)
         w.writerow(["m", "d", "verdict", "detail"])
-        for c in cells:
-            w.writerow(
-                [c["m"], c["d"], c["verdict"],
-                 c.get("witness") or c.get("reason") or ""]
-            )
+        for d, c in ordered:
+            w.writerow([m, d, c.verdict, c.detail])
         _emit(buf.getvalue())
         return EXIT_OK
     # text
     lines = [f"degree {m} sweep over 3 <= d <= {max_d}"]
     if positives:
-        for c in positives:
-            lines.append(f"  d = {c['d']}: exists")
+        for d in positives:
+            lines.append(f"  d = {d}: exists")
     else:
         lines.append("  no admissible dimensions in the grid")
     if undecided:
         lines.append(
-            "  undecided: " + ", ".join(str(c["d"]) for c in undecided)
+            "  undecided: " + ", ".join(str(d) for d in undecided)
         )
     lines.append(
-        f"  cells: {len(grid)} ({len(computed)} examined, "
-        f"{len(replayed)} replayed)"
+        f"  cells: {len(grid)} ({len(todo)} examined, "
+        f"{replayed} replayed)"
     )
     lines.append(f"  complete below max-d: {'yes' if complete else 'no'}")
     if budget_exhausted:
