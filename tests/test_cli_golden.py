@@ -79,9 +79,10 @@ def golden_argv() -> list[list[str]]:
     for precision in ("20", "5000"):
         cases.append(["exists", "--m", "4", "--d", "23",
                       "--precision", precision])
-    for dim in range(2, 40):
+    for dim in [*range(2, 40), *range(40, 201, 2)]:
         for fmt in ("text", "json"):
             cases.append(["classify", "--dim", str(dim), "--format", fmt])
+    cases.append(["classify", "--dim", "400", "--format", "json"])
     cases.append(["classify", "--dim", "26", "--max-m", "3"])
     cases.append(["classify", "--dim", "26", "--max-m", "3",
                   "--format", "json"])
