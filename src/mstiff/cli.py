@@ -365,7 +365,8 @@ def _load_checkpoint(path: Path, kind: str, m: int) -> dict[int, SweepRow]:
         text = (data[:keep] if torn else data).decode("utf-8")
     except UnicodeDecodeError as e:
         raise StateError(f"checkpoint {path}: not UTF-8 text ({e})") from e
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # not splitlines(): a JSON string may hold U+2028 and its other breaks
+    for lineno, line in enumerate(text.split("\n"), 1):
         record = _canonical_record(line, kind, m)
         if record is None:
             if not line.strip():

@@ -104,8 +104,9 @@ def factorize(n: int) -> dict[int, int]:
     |n| < 2^16 is read off the least-prime-factor table; a larger |n| is
     trial-divided by the table's primes (`smooth_part`), which reach its
     square root.  |n| >= 2^32 raises ValueError; no caller needs more,
-    since the offset products are factored through their factors, each
-    below 2 dim.
+    since the offset window bound and the divisor candidates factor each
+    factor c - 2 theta of an offset product, below 2 dim, never the
+    product itself.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -3,14 +3,14 @@
 Two directions of the same question.  classify_dimension fixes the sphere
 and determines every degree admitting a stiff configuration by a bounded
 scan of n = m // 2 below a proven nonexistence threshold; in even
-dimensions the scan also stops at the offset window bound n*, past which
-a congruence necessity on the top coefficient (the offset cascade) fails
-for every n.  classify_degree fixes the degree; for degrees up to 5 the
-admissible dimensions are Pell recurrence streams, and from degree 6 on
-the report is explicitly a bounded search (direct scan plus candidates
-pulled from the cubic-point family).  verify_theorem recomputes the
-nonexistence statements behind the threshold table from scratch, with the
-shortcuts switched off.
+dimensions it stops at the offset window bound n*, past which a
+congruence necessity on the top coefficient fails for every n, and a
+prime-window sieve rejects most n.  classify_degree fixes the degree; for
+degrees up to 5 the admissible dimensions are Pell recurrence streams,
+and from degree 6 on the report is explicitly a bounded search (direct
+scan plus candidates pulled from the cubic-point family).  verify_theorem
+recomputes the nonexistence statements behind the threshold table from
+scratch, with the shortcuts switched off.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .diophantine import (
     mordell_ab_grid,
     mordell_point_stream,
 )
-from .exact_core import divisors_from_factors, factorize
+from .exact_core import _primes_upto, divisors_from_factors, factorize
 from .stiffness import (
     BoundResult,
     UndecidedError,
@@ -60,13 +60,12 @@ class DivisorCandidateSet:
     """Finite list of degree parameters n that survive the congruence
     necessity in an even dimension.
 
-    For each offset theta the top coefficient has n + theta among its
-    denominator factors, while every odd numerator factor is congruent to
-    a fixed odd constant modulo n + theta; integrality therefore forces
-    n + theta to divide the fixed product recorded in `products`.  Even
-    degrees use the two offsets of opposite parity (the one making
-    n + theta odd applies); odd degrees use four consecutive offsets and
-    keep n only when every offset coprime to 6 divides its product.
+    Integrality of the top coefficient forces the part of n + theta prime
+    to 2 (to 6 for odd degrees) to divide the product P_theta recorded in
+    `products` (see _offset_window_bound).  Even degrees use the two
+    offsets of opposite parity (the one making n + theta odd applies); odd
+    degrees use four consecutive offsets and keep n only when every offset
+    coprime to 6 divides its product.
     """
 
     dim: int
@@ -80,61 +79,61 @@ class DivisorCandidateSet:
 def _offset_factors(dim: int, odd_deg: bool) -> list[tuple[int, list[int]]]:
     """(theta, factors c - 2 theta of P_theta) for every denominator factor
     n + theta of the top coefficient u_n (even dim >= 4); see
-    _offset_products.  The layout is stiffness._closed_top_parts at n = 0,
-    where the numerators 2n + c read as their constants c and the
+    _offset_window_bound.  The layout is stiffness._closed_top_parts at
+    n = 0, where the numerators 2n + c read as their constants c and the
     denominators n + theta as their offsets theta."""
     _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
     return [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
 
 
-def _offset_products(dim: int, odd_deg: bool) -> list[tuple[int, int]]:
-    """(theta, P_theta) for every denominator factor n + theta of the top
-    coefficient u_n, in the layout of stiffness._closed_top_parts (even
-    dim >= 4).
+def _window_survivors(dim: int, odd_deg: bool, ns: Sequence[int]) -> set[int]:
+    """The n of ns (even dim >= 4), and perhaps others, whose offset window
+    [n + theta_min, n + theta_max] has no multiple of a prime q past every
+    |c - 2 theta| and past F = {2} (even degrees) or {2, 3} (odd).  Such a
+    q divides the part of n + theta prime to F but no factor of P_theta
+    (odd, nonzero, smaller), so the offset necessity (_offset_window_bound)
+    fails and the screen rejects n.  One sieve over the windows of ns marks
+    those multiples.  Dimension 4's even degrees have no offsets."""
+    offsets = _offset_factors(dim, odd_deg)
+    if not offsets or not ns:
+        return set(ns)
+    lo, t = min(ns), len(offsets)
+    base = lo + offsets[0][0]
+    top = max([3 if odd_deg else 2, *(abs(c) for _, f in offsets for c in f)])
+    rough = bytearray(max(ns) - lo + t)  # whether base + i has such a q
+    primes = _primes_upto(base + len(rough) - 1)
+    for q in primes[bisect.bisect_right(primes, top):]:
+        first = -base % q
+        rough[first::q] = b"\1" * len(range(first, len(rough), q))
+    survivors, window = set(), bytes(t)
+    i = rough.find(window)
+    while i >= 0:
+        survivors.add(lo + i)
+        i = rough.find(window, i + 1)
+    return survivors
 
-    Why n + theta must (nearly) divide P_theta: u_n = 2^a prod(nums) /
-    prod(dens) with n + theta one of the factors of prod(dens).  For even
-    degrees nums are 2n + 2i - 1 (i = 1..k//2) and theta runs over
-    w+1..w+k//2; since 2n = 2(n + theta) - 2 theta, every numerator is
-    congruent to 2i - 1 - 2 theta modulo n + theta, so prod(nums) is
-    congruent to P_theta = prod(2i - 1 - 2 theta).  Integrality of u_n
-    makes the odd part of n + theta divide prod(nums), hence P_theta.  Odd
-    degrees have nums 2n + 2s + 1 (s = 1..kp//2 - 1), theta = w'+1..kp-1,
+
+def _offset_window_bound(dim: int, odd_deg: bool) -> int:
+    """Least n* such that every n >= n* fails the offset necessity below,
+    for a branch with the divisor-product argument (even dim, >= 10 for
+    even degrees, >= 16 for odd).  Exact integers throughout.
+
+    The offset necessity: u_n = 2^a prod(nums) / prod(dens) with n + theta
+    one of the factors of prod(dens).  For even degrees nums are
+    2n + 2i - 1 (i = 1..k//2) and theta runs over w+1..w+k//2; since
+    2n = 2(n + theta) - 2 theta, every numerator is congruent to
+    2i - 1 - 2 theta modulo n + theta, so prod(nums) is congruent to
+    P_theta = prod(2i - 1 - 2 theta).  Integrality of u_n makes the odd
+    part of n + theta divide prod(nums), hence P_theta.  Odd degrees have
+    nums 2n + 2s + 1 (s = 1..kp//2 - 1), theta = w'+1..kp-1,
     P_theta = prod(2s + 1 - 2 theta), and may keep powers of 3 in the
     denominator, so only the part of n + theta coprime to 6 must divide
     P_theta.  When that fails for any theta, u_n has a denominator prime
     >= 5: the coefficient screens reject the degree.  P_theta is odd and
     signed; only divisibility matters.
-    """
-    return [
-        (theta, math.prod(factors))
-        for theta, factors in _offset_factors(dim, odd_deg)
-    ]
-
-
-def _offset_cascade_rejects(
-    n: int, offsets: list[tuple[int, int]], odd_deg: bool
-) -> bool:
-    """Whether some offset's necessity fails for n (see _offset_products):
-    a rejection certifies that u_n has a forbidden denominator prime."""
-    for theta, prod in offsets:
-        core = n + theta
-        core //= core & -core
-        if odd_deg:
-            while core % 3 == 0:
-                core //= 3
-        if prod % core:
-            return True
-    return False
-
-
-def _offset_window_bound(dim: int, odd_deg: bool) -> int:
-    """Least n* such that the offset cascade rejects every n >= n*, for a
-    branch with the divisor-product argument (even dim, >= 10 for even
-    degrees, >= 16 for odd).  Exact integers throughout.
 
     The offsets theta_min..theta_max are T consecutive integers.  Let
-    F = {2} for even degrees and {2, 3} for odd ones.  A surviving n has
+    F = {2} for even degrees and {2, 3} for odd ones.  A passing n has
     the part of n + theta prime to F dividing P_theta for every theta, so:
     - for p not in F, v_p(n + theta) <= E_p = max_theta v_p(P_theta);
       among T consecutive integers at most ceil(T / p^j) are divisible by
@@ -250,7 +249,6 @@ class BranchOutcome:
     method: str  # bounded-scan | all-degrees (dimension 2)
     complete: bool
     bound: Optional[BoundResult]
-    raw_candidates: tuple[int, ...]
     candidates: tuple[CandidateOutcome, ...]
     existing: tuple[int, ...]  # degrees m >= 4 admitting configurations
     unresolved: tuple[int, ...]  # degrees left undecided within budget
@@ -273,26 +271,23 @@ def _decide_candidates(
     nonexistence threshold: the one n-scan of classify_dimension and
     verify_theorem.
 
-    In even dimensions each n meets the offset cascade once; the survivors
-    go to the coefficient screen in one batch (`scan_rejects`: nothing is
-    factored and no witness is built).  A rejection by either is the
-    coefficient-screen verdict stiff_exists would give, since the cascade,
-    top and full screens never contradict each other.  Every other n is
-    decided by stiff_exists(..., use_bounds=False), or reads `unresolved`.
-    Dimension 2, where every degree exists, is never screened.
+    In even dimensions one prime sieve (`_window_survivors`) rejects most
+    n; the rest, and every n of an odd dimension, go to the coefficient
+    screen in one batch (`scan_rejects`: nothing is factored and no
+    witness is built).  Either rejection is the coefficient-screen verdict
+    stiff_exists would give, since the window, top and full screens never
+    contradict each other.  Every other n is decided by stiff_exists(...,
+    use_bounds=False) or reads `unresolved`; dimension 2 is not screened.
     """
-    # per n, aligned with ns: whether the cascade or the screen rejects it
+    # per n, aligned with ns: whether the window or the screen rejects it
     if dim == 2:
         rejected = [False] * len(ns)
     elif dim % 2:
         rejected = scan_rejects(dim, odd_deg, ns)
     else:
-        offsets = _offset_products(dim, odd_deg)
-        cascaded = [_offset_cascade_rejects(n, offsets, odd_deg) for n in ns]
-        walked = iter(scan_rejects(
-            dim, odd_deg, [n for n, hit in zip(ns, cascaded) if not hit]
-        ))
-        rejected = [hit or next(walked) for hit in cascaded]
+        left = _window_survivors(dim, odd_deg, ns)
+        walked = iter(scan_rejects(dim, odd_deg, [n for n in ns if n in left]))
+        rejected = [n not in left or next(walked) for n in ns]
     rows, existing, unresolved = [], [], []
     for n, hit in zip(ns, rejected):
         m = 2 * n + 1 if odd_deg else 2 * n
@@ -313,7 +308,7 @@ def _decide_candidates(
 
 def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
     """Scan n below the paper's threshold and, where the divisor-product
-    argument applies, below the offset window bound n*."""
+    argument applies, below n*, as _decide_candidates decides n."""
     bound = n_upper_bound(dim, odd_deg)
     hi, detail = bound.threshold, ""
     if dim % 2 == 0 and dim >= (16 if odd_deg else 10):
@@ -324,7 +319,7 @@ def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
     ns = tuple(range(2, hi))
     rows, existing, unresolved = _decide_candidates(dim, odd_deg, ns)
     return BranchOutcome(
-        dim, odd_deg, "bounded-scan", not unresolved, bound, ns, rows,
+        dim, odd_deg, "bounded-scan", not unresolved, bound, rows,
         existing, unresolved, f"scanned n in [2, {hi}){detail}",
     )
 
@@ -335,14 +330,15 @@ def classify_dimension(dim: int) -> DimClassification:
     Each parity branch scans n = m // 2 below the paper's threshold
     (`n_upper_bound`) and, in even dimensions with the divisor-product
     argument, below the offset window bound n* past which the offset
-    cascade rejects every n.  The result is complete exactly when both
-    branches are; an undecidable n leaves its branch incomplete.
+    necessity fails for every n; a prime window rejects most n.  The
+    result is complete exactly when both branches are; an undecidable n
+    leaves its branch incomplete.
     """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if dim == 2:
         branch = BranchOutcome(
-            2, False, "all-degrees", True, None, (), (), (), (),
+            2, False, "all-degrees", True, None, (), (), (),
             "equal-weight configurations exist for every degree",
         )
         return DimClassification(2, True, (), True, (branch,))
@@ -686,7 +682,7 @@ def verify_theorem(
 
     The shortcuts are the proven nonexistence thresholds (`n_upper_bound`,
     the claims under test); no scan consults them.  Every scan, family
-    candidates included, is `_decide_candidates`: the offset cascade and
+    candidates included, is `_decide_candidates`: the prime window and
     the coefficient screen, then stiff_exists(..., use_bounds=False) on
     the rest, so each check line's degrees are those of the full decision.
 

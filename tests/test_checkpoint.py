@@ -384,6 +384,24 @@ def test_identical_duplicate_records_replay(tmp_path, capsys, canonical):
     assert json.loads(resumed.splitlines()[-1])["cells_replayed"] == 6
 
 
+def test_record_with_a_raw_line_separator_replays(tmp_path, capsys):
+    # JSON strings may hold U+2028 unescaped; only "\n" ends a record
+    ck, argv, _, lines = _sweep_lines(tmp_path, capsys)
+    record = json.loads(lines[0])
+    reason = "split\u2028here\x1cand\x85there"
+    record["verdict"] = {"d": 3, "m": 6, "reason": reason,
+                         "verdict": "undecided"}
+    record["digest"] = cli._digest(record["verdict"])
+    raw = json.dumps(record, sort_keys=True, ensure_ascii=False)
+    assert "\u2028" in raw
+    ck.write_text("\n".join([raw, *lines[1:]]) + "\n", encoding="utf-8")
+    code, resumed, err = run(capsys, *argv)
+    assert code == 0, err
+    rows = [json.loads(x) for x in resumed.splitlines()]
+    assert rows[0] == record["verdict"]
+    assert rows[-1]["cells_replayed"] == 6
+
+
 @pytest.mark.parametrize("canonical", [True, False])
 def test_disagreeing_duplicate_records_are_a_state_error(
     tmp_path, capsys, canonical

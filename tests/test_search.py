@@ -18,9 +18,8 @@ from mstiff import search, stiffness
 from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.search import (
     _decide_candidates,
-    _offset_cascade_rejects,
-    _offset_products,
     _offset_window_bound,
+    _window_survivors,
     classify_degree,
     classify_dimension,
     divisor_candidates,
@@ -37,6 +36,95 @@ from mstiff.stiffness import (
     stiff_exists,
     top_coefficient_screen,
 )
+
+
+# --- slow twins of the prime window ----------------------------------------
+
+def _offset_products(dim, odd_deg):
+    """(theta, P_theta) for every denominator factor n + theta of the top
+    coefficient u_n, read off stiffness._closed_top_parts at n = 0 (why
+    n + theta must divide P_theta: search._offset_window_bound)."""
+    _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
+    return [(theta, math.prod(c - 2 * theta for c in odds))
+            for theta in thetas]
+
+
+def _offset_cascade_rejects(n, offsets, odd_deg):
+    """Whether some offset's necessity fails for n: the part of n + theta
+    prime to 2 (and to 3 for odd degrees) does not divide P_theta."""
+    for theta, prod in offsets:
+        core = n + theta
+        core //= core & -core
+        if odd_deg:
+            while core % 3 == 0:
+                core //= 3
+        if prod % core:
+            return True
+    return False
+
+
+def _twin_route_rows(dim, odd_deg, ns):
+    """Rows of the per-n cascade route: the cascade, then the batch screen
+    on what it leaves, then stiff_exists without bounds."""
+    offsets = _offset_products(dim, odd_deg)
+    left = [n for n in ns if not _offset_cascade_rejects(n, offsets, odd_deg)]
+    screened = dict(zip(left, stiffness.scan_rejects(dim, odd_deg, left)))
+    rows = []
+    for n in ns:
+        m = 2 * n + 1 if odd_deg else 2 * n
+        if screened.get(n, True):
+            rows.append((n, m, "coefficient-screen"))
+            continue
+        try:
+            status = stiff_exists(m, dim, use_bounds=False).stage
+        except UndecidedError:
+            status = "unresolved"
+        rows.append((n, m, status))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 200).map(lambda h: 2 * h),
+    odd_deg=st.booleans(),
+    ns=st.lists(st.integers(2, 20_000), min_size=1, max_size=40),
+)
+def test_window_rejection_implies_cascade_rejection(dim, odd_deg, ns):
+    ns = sorted(set(ns))
+    survivors = _window_survivors(dim, odd_deg, ns)
+    offsets = _offset_products(dim, odd_deg)
+    for n in ns:
+        if n not in survivors:
+            assert _offset_cascade_rejects(n, offsets, odd_deg), (n, dim)
+
+
+def test_decided_rows_match_the_twin_route_in_even_dimensions():
+    for dim in range(4, 201, 2):
+        for b in classify_dimension(dim).branches:
+            ns = tuple(r.n for r in b.candidates)
+            rows = [(r.n, r.m, r.status) for r in b.candidates]
+            assert rows == _twin_route_rows(dim, b.odd_deg, ns), \
+                (dim, b.odd_deg)
+
+
+def test_window_edge_cases():
+    ns = range(2, 60)
+    # dimension 4, even degrees: no offsets, so no window rejects any n
+    assert _window_survivors(4, False, ns) >= set(ns)
+    # dimensions 4 and 6, odd degrees: one offset each (1 and 2) with the
+    # empty product P_theta = 1; 3 is allowed in the denominator, so only
+    # multiples of primes q >= 5 reject, and n = 2 (degree 5 in dimension
+    # 4) survives
+    for dim, theta in ((4, 1), (6, 2)):
+        assert _offset_products(dim, True) == [(theta, 1)]
+        left = _window_survivors(dim, True, ns)
+        assert {n for n in ns if n in left} == {
+            n for n in ns if max(sympy.primefactors(n + theta)) < 5
+        }, dim
+    assert 2 in _window_survivors(4, True, [2])
+    rows, existing, _ = _decide_candidates(4, True, ns)
+    assert rows[0] == (2, 5, "exists") and existing == (5,)
+    assert _window_survivors(4, True, []) == set()
 
 
 # --- divisor-product candidate sets --------------------------------------
@@ -144,7 +232,8 @@ def test_cascade_rows_match_stiff_exists_on_every_raw_candidate():
     for dim in range(10, 61, 2):
         for b in classify_dimension(dim).branches:
             rows = [(r.n, r.m, r.status) for r in b.candidates]
-            twin = _rows_without_cascade(dim, b.odd_deg, b.raw_candidates)
+            ns = tuple(r.n for r in b.candidates)
+            twin = _rows_without_cascade(dim, b.odd_deg, ns)
             assert rows == twin, (dim, b.odd_deg)
 
 
@@ -416,7 +505,7 @@ def test_classify_dimension_10():
     even, odd = c.branches
     # threshold 16 sits below n* = 59, so the threshold ends the scan
     assert even.method == "bounded-scan"
-    assert even.raw_candidates == tuple(range(2, 16))
+    assert tuple(r.n for r in even.candidates) == tuple(range(2, 16))
     assert even.detail == (
         "scanned n in [2, 16); the threshold ended the scan "
         "(offset window bound n* = 59)"
@@ -427,10 +516,11 @@ def test_classify_dimension_10():
     ]
     # of the divisor candidates (2, 12) only 2 survives the cascade, and so
     # it does in the scan
-    assert _cascade_survivors(10, False, even.raw_candidates) == [2]
+    assert _cascade_survivors(
+        10, False, [r.n for r in even.candidates]) == [2]
     assert _cascade_survivors(10, False, (2, 12)) == [2]
     assert odd.method == "bounded-scan"
-    assert odd.raw_candidates == ()  # threshold 2 leaves nothing to scan
+    assert odd.candidates == ()  # threshold 2 leaves nothing to scan
 
 
 def test_classify_dimension_26():
@@ -440,7 +530,7 @@ def test_classify_dimension_26():
     even, odd = c.branches
     assert even.method == "bounded-scan" and odd.method == "bounded-scan"
     for b, n_star in ((even, 179), (odd, 340)):
-        assert b.raw_candidates == tuple(range(2, n_star))
+        assert tuple(r.n for r in b.candidates) == tuple(range(2, n_star))
         assert b.detail == (f"scanned n in [2, {n_star}); n* ended the scan "
                             f"(offset window bound n* = {n_star})")
     assert even.existing == ()
@@ -463,7 +553,8 @@ def test_classify_dimension_124_is_complete_with_degree5():
     assert c.complete
     for branch, n_star in zip(c.branches, (4161, 2542)):
         assert branch.method == "bounded-scan" and branch.complete
-        assert branch.raw_candidates == tuple(range(2, n_star))
+        assert tuple(r.n for r in branch.candidates) == \
+            tuple(range(2, n_star))
         assert branch.detail.startswith(f"scanned n in [2, {n_star}); n* ")
     assert c.branches[0].existing == ()
     assert c.branches[1].existing == (5,)
