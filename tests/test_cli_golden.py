@@ -21,9 +21,11 @@ FORMATS = ("text", "csv", "json", "markdown")
 EXISTS_DIMS = ("2", "3", "5", "10", "23", "26", "124", "2399",
                "1.000000000000000000000000000001e30")
 # (m, d) of exists branches the grid above misses: the top screen's witness
-# (no prime, no value), a witness value past the bit cap, a conservative
-# bound, and a cell past the top screen's dimension limit (exit 4)
-EXISTS_CELLS = (("200", "62"), ("322", "10000000000000000000000001"),
+# (no prime, no value) for an even and two odd degrees, a witness value
+# past the bit cap, a conservative bound, and a cell past the top screen's
+# dimension limit (exit 4)
+EXISTS_CELLS = (("200", "62"), ("201", "62"), ("203", "40"),
+                ("322", "10000000000000000000000001"),
                 ("100", "5"), ("400002", "1e25"))
 VERIFY_TAGS = ("dim4-even-deg", "dim4-odd-deg", "dim6-even-deg", "dim6-odd-deg",
                "dim8-even-deg", "dim8-odd-deg", "dim10-even-deg",
@@ -86,6 +88,11 @@ def golden_argv() -> list[list[str]]:
     cases.append(["classify", "--dim", "26", "--max-m", "3"])
     cases.append(["classify", "--dim", "26", "--max-m", "3",
                   "--format", "json"])
+    for fmt in ("text", "json"):
+        cases.append(["classify", "--dim", "26", "--max-m", "5",
+                      "--format", fmt])
+    cases.append(["classify", "--dim", "2", "--max-m", "3",
+                  "--format", "json"])
     for deg in range(1, 11):
         for fmt in FORMATS:
             cases.append(["classify", "--deg", str(deg), "--max-d", "60",
@@ -123,6 +130,8 @@ def golden_argv() -> list[list[str]]:
             cases.append(["verify", tag, "--limit", "5", "--format", fmt])
     cases.append(["verify", "dim4-even-deg"])
     cases.append(["verify", "dim8-even-deg", "--limit", "3", "--budget", "2"])
+    cases.append(["verify", "dim8-even-deg", "--limit", "3", "--budget", "2",
+                  "--format", "json"])
     cases.extend(list(argv) for argv in BAD_INPUTS)
     return cases
 
