@@ -5,9 +5,12 @@ codes are stable: 0 Exists (or a successful run), 3 NotExists (or a
 failed verification), 2 usage errors, 4 state errors such as a corrupt
 checkpoint.  argparse converts and bounds every argument and rejects a
 --format the subcommand does not render, so a bad one exits 2 with an
-argparse message; each command then reads the parsed namespace.  All
-result bytes go to stdout and are a function of the arguments alone;
-checkpoint files are the only place timestamps live.
+argparse message; each command then reads the parsed namespace and
+returns its exit code with the text to print, and `main` alone writes
+that text to stdout.  Results that render themselves (verdicts, dimension
+classifications, theorem reports) only have their format picked here.
+All result bytes are a function of the arguments alone; checkpoint files
+are the only place timestamps live.
 
 Degree sweeps (classify --deg with m >= 6) walk a dimension grid cell by
 cell.  Each decided cell is appended to the checkpoint file as a JSON
@@ -40,14 +43,7 @@ from .exact_core import (
     ord_p,
     perfect_square_root,
 )
-from .render import (
-    fraction_str,
-    render_table,
-    surd_str,
-    table_rows,
-    unit_str,
-)
-from .gegenbauer import QuadSurd
+from .render import fraction_str, render_table, table_rows, unit_str
 from .search import (
     classify_dimension,
     resolve_theorem_tag,
@@ -75,33 +71,38 @@ class StateError(Exception):
     pass
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+# what a command returns: its exit code and the text main prints
+Output = tuple[int, str]
+
+
+def _json(obj: object) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _lines(lines: Sequence[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # exists
 
-def cmd_exists(args: argparse.Namespace) -> int:
-    m, d = args.m, args.d
+def cmd_exists(args: argparse.Namespace) -> Output:
     try:
-        verdict = stiff_exists(m, d)
+        verdict = stiff_exists(args.m, args.d)
     except UndecidedError as e:
         raise StateError(str(e)) from e
-
+    code = EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
     if args.format == "json":
-        _emit(json.dumps(verdict.to_json(), indent=2) + "\n")
-    else:
-        _emit(verdict.to_text(args.precision) + "\n")
-    return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
+        return code, _json(verdict.to_json())
+    return code, verdict.to_text(args.precision) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # tables
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    _emit(render_table(table_rows(args.which, args.limit), args.format))
-    return EXIT_OK
+def cmd_tables(args: argparse.Namespace) -> Output:
+    return EXIT_OK, render_table(table_rows(args.which, args.limit),
+                                 args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -116,78 +117,12 @@ def _require_format(fmt: str, allowed: Sequence[str]) -> None:
         )
 
 
-def _dim_classification_json(c) -> dict:
-    branches = []
-    for b in c.branches:
-        branches.append(
-            {
-                "parity": "odd" if b.odd_deg else "even",
-                "method": b.method,
-                "complete": b.complete,
-                "bound": None if b.bound is None else asdict(b.bound),
-                "candidates": [
-                    {"n": r.n, "m": r.m, "status": r.status}
-                    for r in b.candidates
-                ],
-                "existing": list(b.existing),
-                "unresolved": list(b.unresolved),
-                "detail": b.detail,
-            }
-        )
-    return {
-        "dim": c.dim,
-        "all_degrees": c.all_degrees,
-        "degrees": "all" if c.all_degrees else list(c.degrees),
-        "complete": c.complete,
-        "branches": branches,
-    }
-
-
-def _classify_dim(args: argparse.Namespace) -> int:
+def _classify_dim(args: argparse.Namespace) -> Output:
     _require_format(args.format, ("text", "json"))
-    dim, max_m = args.dim, args.max_m
-    c = classify_dimension(dim)
+    c = classify_dimension(args.dim)
     if args.format == "json":
-        payload = _dim_classification_json(c)
-        if max_m is not None and not c.all_degrees:
-            payload["degrees"] = [m for m in payload["degrees"] if m <= max_m]
-            payload["max_m"] = max_m
-        _emit(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-
-    if c.all_degrees:
-        _emit(
-            "dimension 2: every degree is admissible "
-            "(the regular 2m-gon is the m-stiff configuration)\n"
-        )
-        return EXIT_OK
-    degrees = [m for m in c.degrees if max_m is None or m <= max_m]
-    lines = [
-        f"dimension {dim}: admissible degrees "
-        + (", ".join(str(m) for m in degrees) if degrees else "none")
-    ]
-    lines.append(f"  classification complete: {'yes' if c.complete else 'no'}")
-    for b in c.branches:
-        parity = "odd" if b.odd_deg else "even"
-        cands = ", ".join(str(r.n) for r in b.candidates[:12])
-        if len(b.candidates) > 12:
-            cands += ", ..."
-        lines.append(
-            f"  {parity} degrees [{b.method}]: "
-            + (f"candidates n in ({cands}); " if cands else "no candidates; ")
-            + (
-                f"admissible m = {', '.join(str(m) for m in b.existing)}"
-                if b.existing else "none admissible"
-            )
-        )
-        if b.unresolved:
-            lines.append(
-                f"    unresolved degrees: "
-                + ", ".join(str(m) for m in b.unresolved)
-            )
-        lines.append(f"    {b.detail}")
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+        return EXIT_OK, _json(c.to_json(args.max_m))
+    return EXIT_OK, c.to_text(args.max_m) + "\n"
 
 
 # json.dumps(obj, sort_keys=True) builds a new encoder on every call, which
@@ -430,7 +365,7 @@ def _sweep_cell(args: tuple[int, int]) -> dict:
     }
 
 
-def _classify_deg_sweep(args: argparse.Namespace) -> int:
+def _classify_deg_sweep(args: argparse.Namespace) -> Output:
     m, max_d, budget = args.deg, args.max_d, args.budget
     if max_d < 3:
         raise UsageError("--max-d must be at least 3 (the range is empty)")
@@ -500,10 +435,9 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
     }
 
     if args.format == "json":
-        out = [c.row for _, c in ordered]
-        out.append(_SORTED_JSON.encode(summary))
-        _emit("\n".join(out) + "\n")
-        return EXIT_OK
+        return EXIT_OK, _lines(
+            [*(c.row for _, c in ordered), _SORTED_JSON.encode(summary)]
+        )
     if args.format == "csv":
         import csv as _csv
         import io as _io
@@ -513,8 +447,7 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
         w.writerow(["m", "d", "verdict", "detail"])
         for d, c in ordered:
             w.writerow([m, d, c.verdict, c.detail])
-        _emit(buf.getvalue())
-        return EXIT_OK
+        return EXIT_OK, buf.getvalue()
     # text
     lines = [f"degree {m} sweep over 3 <= d <= {max_d}"]
     if positives:
@@ -534,23 +467,16 @@ def _classify_deg_sweep(args: argparse.Namespace) -> int:
     if budget_exhausted:
         lines.append(f"  budget of {budget} cells exhausted")
     lines.append("  d = 2 admits every degree; beyond max-d is unexplored")
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _lines(lines)
 
 
-def _classify_deg(args: argparse.Namespace) -> int:
+def _classify_deg(args: argparse.Namespace) -> Output:
     m = args.deg
     if m <= 3:
         _require_format(args.format, ("text", "json"))
         if args.format == "json":
-            _emit(json.dumps(
-                {"m": m, "dims": "all", "complete": True}, indent=2
-            ) + "\n")
-        else:
-            _emit(
-                f"degree {m}: every dimension d >= 2 is admissible\n"
-            )
-        return EXIT_OK
+            return EXIT_OK, _json({"m": m, "dims": "all", "complete": True})
+        return EXIT_OK, f"degree {m}: every dimension d >= 2 is admissible\n"
     if m in (4, 5):
         max_d = args.max_d
         rows = table_rows("m4" if m == 4 else "m5", max_d + 1)
@@ -574,22 +500,18 @@ def _classify_deg(args: argparse.Namespace) -> int:
                 "budget": None,
                 "wall_clock_cap": None,
             }))
-            _emit("\n".join(out) + "\n")
-            return EXIT_OK
+            return EXIT_OK, _lines(out)
         if args.format in ("csv", "markdown"):
-            _emit(render_table(rows, args.format))
-            return EXIT_OK
-        _emit(
+            return EXIT_OK, render_table(rows, args.format)
+        return EXIT_OK, (
             f"degree {m}: admissible dimensions d <= {max_d} "
-            "(complete, recurrence stream)\n"
+            "(complete, recurrence stream)\n" + render_table(rows, "text")
         )
-        _emit(render_table(rows, "text"))
-        return EXIT_OK
     _require_format(args.format, ("text", "csv", "json"))
     return _classify_deg_sweep(args)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Output:
     # a flag the mode ignores is refused, so --max-d and --workers default
     # to None; the sweep-only flags serve the bounded sweeps (m >= 6) alone
     swept = ("--budget", "--workers", "--checkpoint")
@@ -612,7 +534,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # pell
 
-def cmd_pell(args: argparse.Namespace) -> int:
+def cmd_pell(args: argparse.Namespace) -> Output:
     d, m = args.D, args.M
     if perfect_square_root(d) is not None:
         raise UsageError(f"--D must not be a perfect square, got {d}")
@@ -620,18 +542,16 @@ def cmd_pell(args: argparse.Namespace) -> int:
         raise UsageError("--M must be nonzero")
     unit = fundamental_unit(d)
     u0 = unit if unit.norm == 1 else unit * unit
-    reps = pell_representatives(d, m)
-    classes = []
-    for rep in reps:
-        elem = UnitElement(rep.x, rep.y, d)
-        orbit = []
+    classes = []  # (representative, the strings of its orbit)
+    for rep in pell_representatives(d, m):
+        elem, orbit = UnitElement(rep.x, rep.y, d), []
         for _ in range(args.limit):
-            orbit.append(elem)
+            orbit.append(unit_str(elem))
             elem = elem * u0
         classes.append((rep, orbit))
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, _json({
             "D": d,
             "M": m,
             "fundamental_unit": {
@@ -642,19 +562,10 @@ def cmd_pell(args: argparse.Namespace) -> int:
                 "x": u0.x, "y": u0.y, "str": unit_str(u0),
             },
             "classes": [
-                {
-                    "x": rep.x,
-                    "y": rep.y,
-                    "str": surd_str(
-                        QuadSurd(Fraction(rep.x), Fraction(rep.y), d)
-                    ),
-                    "orbit": [unit_str(e) for e in orbit],
-                }
+                {"x": rep.x, "y": rep.y, "str": orbit[0], "orbit": orbit}
                 for rep, orbit in classes
             ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
+        })
 
     lines = [
         f"fundamental unit of Z[sqrt({d})]: {unit_str(unit)} "
@@ -668,14 +579,9 @@ def cmd_pell(args: argparse.Namespace) -> int:
         f"solutions of x^2 - {d}*y^2 = {m}: "
         + (f"{count} {noun}" if count else "none")
     )
-    for rep, orbit in classes:
-        rep_str = surd_str(QuadSurd(Fraction(rep.x), Fraction(rep.y), d))
-        lines.append(
-            f"  class {rep_str}: orbit "
-            + ", ".join(unit_str(e) for e in orbit)
-        )
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+    for _, orbit in classes:
+        lines.append(f"  class {orbit[0]}: orbit " + ", ".join(orbit))
+    return EXIT_OK, _lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +600,7 @@ def _coeffs(text: str) -> list[Fraction]:
     return coeffs
 
 
-def cmd_newton(args: argparse.Namespace) -> int:
+def cmd_newton(args: argparse.Namespace) -> Output:
     p, m, d = args.p, args.m, args.d
     if not is_probable_prime(p):
         raise UsageError(f"--p must be prime, got {p}")
@@ -719,7 +625,7 @@ def cmd_newton(args: argparse.Namespace) -> int:
     fractional = [s for s in polygon.slopes if s.denominator != 1]
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, _json({
             "prime": p,
             "source": source,
             "points": [list(pt) for pt in polygon.points],
@@ -728,9 +634,7 @@ def cmd_newton(args: argparse.Namespace) -> int:
             "all_slopes_integer": polygon.all_slopes_integer,
             "fractional_slopes": [fraction_str(s) for s in fractional],
             "non_integral_coefficient_indices": non_integral,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
+        })
 
     def fmt_pts(pts) -> str:
         return ", ".join(f"({a}, {b})" for a, b in pts)
@@ -758,32 +662,24 @@ def cmd_newton(args: argparse.Namespace) -> int:
         )
     else:
         lines.append("  all slopes are integers: no obstruction here")
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _lines(lines)
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> Output:
     d = args.d
     rows = [(odd_deg, n_upper_bound(d, odd_deg)) for odd_deg in (False, True)]
 
     if args.format == "json":
-        payload = {
-            "d": d,
-            "bounds": [
-                {
-                    "parity": "odd" if odd_deg else "even",
-                    "threshold": None if b is None else b.threshold,
-                    "tag": None if b is None else b.tag,
-                    "conservative": None if b is None else b.conservative,
-                }
-                for odd_deg, b in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
+        # dimension 2 has no threshold: every field but the parity is null
+        unbounded = dict.fromkeys(("threshold", "tag", "conservative"))
+        return EXIT_OK, _json({"d": d, "bounds": [
+            {"parity": "odd" if odd_deg else "even",
+             **(unbounded if b is None else asdict(b))}
+            for odd_deg, b in rows
+        ]})
 
     lines = [f"degree-parameter thresholds for dimension {d}"]
     for odd_deg, b in rows:
@@ -797,14 +693,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             f"  {parity}: none exist with n >= {b.threshold} "
             f"({b.tag}{extra})"
         )
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _lines(lines)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     try:
         canonical = resolve_theorem_tag(args.tag)
     except KeyError:
@@ -814,28 +709,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ) from None
     report = verify_theorem(canonical, window=args.limit,
                             below_cap=args.budget)
-
+    code = EXIT_OK if report.passed else EXIT_NOT_EXISTS
     if args.format == "json":
-        payload = {
-            "tag": report.tag,
-            "alias": report.alias,
-            "claim": report.claim,
-            "passed": report.passed,
-            "checks": list(report.checks),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK if report.passed else EXIT_NOT_EXISTS
-
-    alias = f" (alias {report.alias})" if report.alias else ""
-    lines = [
-        f"theorem check {report.tag}{alias}: "
-        + ("PASSED" if report.passed else "NOT CONFIRMED")
-    ]
-    lines.append(f"  claim: {report.claim}")
-    for check in report.checks:
-        lines.append(f"  - {check}")
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_NOT_EXISTS
+        return code, _json(report.to_json())
+    return code, report.to_text() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -968,13 +845,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse already printed a message; exit 2 on bad usage
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except StateError as e:
         print(f"state error: {e}", file=sys.stderr)
         return EXIT_STATE
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def factorize(n: int) -> dict[int, int]:
 def _primes_upto(bound: int) -> tuple[int, ...]:
     """Every prime <= bound, ascending: a slice of the table's primes below
     2^16, a sieve of Eratosthenes beyond.  Cached, since a walk asks for
-    the same bound at every step."""
+    the same bound at every step; a one-off sieve calls `__wrapped__`."""
     if bound < _SMALL_PRIME_LIMIT:
         return SMALL_PRIMES[: bisect.bisect_right(SMALL_PRIMES, bound)]
     sieve = bytearray([1]) * (bound + 1)

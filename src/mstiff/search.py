@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .diophantine import (
@@ -101,7 +101,10 @@ def _window_survivors(dim: int, odd_deg: bool, ns: Sequence[int]) -> set[int]:
     base = lo + offsets[0][0]
     top = max([3 if odd_deg else 2, *(abs(c) for _, f in offsets for c in f)])
     rough = bytearray(max(ns) - lo + t)  # whether base + i has such a q
-    primes = _primes_upto(base + len(rough) - 1)
+    # uncached: the scan's bound is its own, and its tuple (about 263,000
+    # primes per branch at d = 4000) would stay in, and evict the entries
+    # of, the cache the coefficient walks share
+    primes = _primes_upto.__wrapped__(base + len(rough) - 1)
     for q in primes[bisect.bisect_right(primes, top):]:
         first = -base % q
         rough[first::q] = b"\1" * len(range(first, len(rough), q))
@@ -262,6 +265,66 @@ class DimClassification:
     degrees: tuple[int, ...]  # complete when `complete` (and not dim 2)
     complete: bool
     branches: tuple[BranchOutcome, ...]
+
+    def to_json(self, max_m: Optional[int] = None) -> dict:
+        """The object `mstiff classify --dim --format json` prints, with
+        one row per scanned n.  max_m (ignored in dimension 2) drops the
+        larger degrees from `degrees` and is recorded; the rows stay."""
+        listed = [m for m in self.degrees if max_m is None or m <= max_m]
+        out = {
+            "dim": self.dim,
+            "all_degrees": self.all_degrees,
+            "degrees": "all" if self.all_degrees else listed,
+            "complete": self.complete,
+            "branches": [
+                {
+                    "parity": "odd" if b.odd_deg else "even",
+                    "method": b.method,
+                    "complete": b.complete,
+                    "bound": None if b.bound is None else asdict(b.bound),
+                    "candidates": [
+                        {"n": r.n, "m": r.m, "status": r.status}
+                        for r in b.candidates
+                    ],
+                    "existing": list(b.existing),
+                    "unresolved": list(b.unresolved),
+                    "detail": b.detail,
+                }
+                for b in self.branches
+            ],
+        }
+        if max_m is not None and not self.all_degrees:
+            out["max_m"] = max_m
+        return out
+
+    def to_text(self, max_m: Optional[int] = None) -> str:
+        """The lines `mstiff classify --dim` prints, without the final
+        newline; max_m hides the larger degrees."""
+        if self.all_degrees:
+            return ("dimension 2: every degree is admissible "
+                    "(the regular 2m-gon is the m-stiff configuration)")
+        degrees = [m for m in self.degrees if max_m is None or m <= max_m]
+        lines = [
+            f"dimension {self.dim}: admissible degrees "
+            + (", ".join(map(str, degrees)) if degrees else "none"),
+            f"  classification complete: {'yes' if self.complete else 'no'}",
+        ]
+        for b in self.branches:
+            cands = ", ".join(str(r.n) for r in b.candidates[:12])
+            if len(b.candidates) > 12:
+                cands += ", ..."
+            lines.append(
+                f"  {'odd' if b.odd_deg else 'even'} degrees [{b.method}]: "
+                + (f"candidates n in ({cands}); " if cands
+                   else "no candidates; ")
+                + (f"admissible m = {', '.join(map(str, b.existing))}"
+                   if b.existing else "none admissible")
+            )
+            if b.unresolved:
+                lines.append("    unresolved degrees: "
+                             + ", ".join(map(str, b.unresolved)))
+            lines.append(f"    {b.detail}")
+        return "\n".join(lines)
 
 
 def _decide_candidates(
@@ -471,6 +534,20 @@ class TheoremReport:
     claim: str
     passed: bool
     checks: tuple[str, ...]
+
+    def to_json(self) -> dict:
+        """The object `mstiff verify --format json` prints: the fields."""
+        return asdict(self)
+
+    def to_text(self) -> str:
+        """The lines `mstiff verify` prints, without the final newline."""
+        alias = f" (alias {self.alias})" if self.alias else ""
+        return "\n".join([
+            f"theorem check {self.tag}{alias}: "
+            + ("PASSED" if self.passed else "NOT CONFIRMED"),
+            f"  claim: {self.claim}",
+            *(f"  - {check}" for check in self.checks),
+        ])
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ __all__ = [
     "s_coefficients",
     "s_poly",
     "NonIntegerCoefficient",
-    "ScreenReport",
     "screen_coefficients",
     "scan_rejects",
     "top_coefficient_screen",
@@ -287,13 +286,6 @@ Witness = Union[NonIntegerCoefficient, IrrationalRoot, BoundExceeded]
 # ---------------------------------------------------------------------------
 # coefficient screens
 
-@dataclass(frozen=True)
-class ScreenReport:
-    witness: Optional[NonIntegerCoefficient]
-    # prime -> (ord_p(u_1), ..., ord_p(u_n)), only on success
-    valuations: Optional[dict[int, tuple[int, ...]]]
-
-
 _VALUE_BIT_CAP = 2048
 
 
@@ -470,12 +462,8 @@ def scan_rejects(dim: int, odd_deg: bool, ns: Iterable[int]) -> list[bool]:
 _NEWTON_PRIMES = (2, 3, 5)
 
 
-def screen_coefficients(
-    m: int, dim: int, track_primes: Sequence[int] = _NEWTON_PRIMES
-) -> ScreenReport:
-    """Find the first coefficient u_r with a forbidden denominator and
-    report it, or, on success, return the tracked valuations, so a Newton
-    screen expands no coefficient.
+def screen_coefficients(m: int, dim: int) -> Optional[NonIntegerCoefficient]:
+    """The first coefficient u_r with a forbidden denominator, or None.
 
     The one-cell screen of stiff_exists, with the witness `exists` prints;
     scans decide the same cells by `scan_rejects`, which renders nothing.
@@ -483,41 +471,24 @@ def screen_coefficients(
     (`_first_bad_step`) runs only to render a witness at the step it
     found, or to decide a cell it hands over.  Only step r's divisor can
     bring in a new denominator prime, so the witness prime is the least
-    forbidden prime with a negative exponent at step r.  The tracked
-    valuations are counted from the step factors after a walk without a
-    witness, so a tracked prime past B needs no sieve up to it.
-    track_primes must be primes.  Odd degrees allow 3 in the denominator:
-    u_r is C(n, r) times the rising product over 3*5*...*(2r+1), whose
-    ord_3 is at most r, all the denominator 3^r of the roots can absorb."""
+    forbidden prime with a negative exponent at step r.  Odd degrees allow
+    3 in the denominator: u_r is C(n, r) times the rising product over
+    3*5*...*(2r+1), whose ord_3 is at most r, all the denominator 3^r of
+    the roots can absorb."""
     p = stiff_params(m, dim)
     carried = _carried_walk(p.n, p.shift, p.odd, _CARRY_BIT_LIMIT)
     hit = None if carried is None else _first_bad_step(p)
-    if hit is not None:
-        r, exps, rough = hit
-        bad = min(q for q, e in exps.items()
-                  if e < 0 and not (p.odd and q == 3))
-        return ScreenReport(
-            NonIntegerCoefficient(
-                index=r,
-                prime=bad,
-                valuation=exps[bad],
-                value=_expand(exps, rough, _VALUE_BIT_CAP),
-                detail=f"prime {bad} survives in the denominator of u_{r}",
-            ),
-            None,
-        )
-    # only a walk without a witness returns the tracked valuations, so they
-    # are summed here, from the step factors themselves
-    n, shift, step = p.n, p.shift, p.denominator_step
-    valuations = {}
-    for q in track_primes:
-        v, vals = 0, []
-        for r in range(1, n + 1):
-            v += (_ord(n - r + 1, q) + _ord(shift + 2 * r - 2, q)
-                  - _ord(r, q) - _ord(2 * r - 2 + step, q))
-            vals.append(v)
-        valuations[q] = tuple(vals)
-    return ScreenReport(None, valuations)
+    if hit is None:
+        return None
+    r, exps, rough = hit
+    bad = min(q for q, e in exps.items() if e < 0 and not (p.odd and q == 3))
+    return NonIntegerCoefficient(
+        index=r,
+        prime=bad,
+        valuation=exps[bad],
+        value=_expand(exps, rough, _VALUE_BIT_CAP),
+        detail=f"prime {bad} survives in the denominator of u_{r}",
+    )
 
 
 def _closed_top_parts(
@@ -643,33 +614,24 @@ def top_coefficient_screen(m: int, dim: int) -> Optional[NonIntegerCoefficient]:
     return None
 
 
-def newton_screen(
-    m: int,
-    dim: int,
-    primes: Sequence[int] = _NEWTON_PRIMES,
-    report: Optional[ScreenReport] = None,
-) -> Optional[NewtonPolygon]:
-    """First Newton polygon with a fractional slope among the given primes,
-    or None.  Works on the integer-cleared polynomial (odd degrees fold the
-    3-power denominators in), using only tracked valuations."""
+def newton_screen(m: int, dim: int) -> Optional[NewtonPolygon]:
+    """First Newton polygon at 2, 3 or 5 with a fractional slope, or None,
+    for a cell the coefficient screen passes.  Works on the integer-cleared
+    polynomial (odd degrees fold the 3-power denominators in).  Each
+    ord_q(u_r) is summed from the step factors, so no coefficient is
+    expanded and no prime is sieved."""
     p = stiff_params(m, dim)
-    if report is None:
-        report = screen_coefficients(m, dim, track_primes=primes)
-    if report.witness is not None:
-        raise ValueError("coefficient screen must pass before a Newton screen")
-    if report.valuations is None:
-        raise ValueError("screen report carries no valuations")
-    for q in primes:
-        ords = report.valuations[q]
-        vals: list[Optional[int]] = []
-        for i in range(p.n):  # ascending by degree of X
-            r = p.n - i
-            v = ords[r - 1]
-            if p.odd and q == 3:
-                v += r  # clearing multiplies u_r by 3^r
-            vals.append(v)
-        vals.append(0)  # monic leading coefficient
-        polygon = newton_polygon_from_valuations(vals, q)
+    n, shift, step = p.n, p.shift, p.denominator_step
+    for q in _NEWTON_PRIMES:
+        v, vals = 0, []  # vals[r - 1] is ord_q of the cleared u_r
+        for r in range(1, n + 1):
+            v += (_ord(n - r + 1, q) + _ord(shift + 2 * r - 2, q)
+                  - _ord(r, q) - _ord(2 * r - 2 + step, q))
+            # clearing multiplies u_r by 3^r
+            vals.append(v + r if p.odd and q == 3 else v)
+        # ascending by degree of X: u_r is the coefficient of X^(n - r),
+        # and the leading coefficient is 1
+        polygon = newton_polygon_from_valuations([*vals[::-1], 0], q)
         if not polygon.all_slopes_integer:
             return polygon
     return None
@@ -1013,11 +975,11 @@ def stiff_exists(m: int, dim: int, use_bounds: bool = True) -> StiffVerdict:
             m, dim, f"degree parameter {n} exceeds the full-screen budget"
         )
 
-    report = screen_coefficients(m, dim)
-    if report.witness is not None:
-        return StiffVerdict(m, dim, False, None, report.witness)
+    witness = screen_coefficients(m, dim)
+    if witness is not None:
+        return StiffVerdict(m, dim, False, None, witness)
 
-    polygon = newton_screen(m, dim, report=report)
+    polygon = newton_screen(m, dim)
     if polygon is not None:
         return StiffVerdict(m, dim, False, None, IrrationalRoot(newton=polygon))
 

@@ -77,6 +77,29 @@ def test_no_unread_methods():
     assert not unread, f"methods never read in src/: {unread}"
 
 
+def test_only_main_writes_stdout():
+    # the CLI is a thin layer: each command returns its exit code and text,
+    # and main alone writes stdout; other functions write to stderr only
+    def writes_stdout(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node) == "sys.stdout"
+        if isinstance(node, ast.Name):
+            return node.id == "_emit"
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "print"
+                and not any(k.arg == "file"
+                            and ast.unparse(k.value) == "sys.stderr"
+                            for k in node.keywords))
+
+    writers = sorted({
+        fn.name
+        for fn in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name != "main"
+        for node in ast.walk(fn) if writes_stdout(node)
+    })
+    assert not writers, f"functions other than main write stdout: {writers}"
+
+
 # the benchmark's traced run wraps library functions by name and reads
 # verdict and witness fields by name, so a rename must fail here rather
 # than in that run; the tracer is parsed, never imported

@@ -5,6 +5,7 @@ offset products before the implementation; classification outcomes were
 frozen only after cross-checking each degree against the recurrence
 streams and the direct decision procedure.
 """
+import gc
 import math
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mstiff import search, stiffness
+from mstiff import exact_core, search, stiffness
 from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.search import (
     _decide_candidates,
@@ -127,6 +128,28 @@ def test_window_edge_cases():
     assert _window_survivors(4, True, []) == set()
 
 
+def test_window_sieve_stays_out_of_the_walk_cache():
+    # the coefficient walks share the lru_cache of _primes_upto; a scan's
+    # sieve is its own, and d = 600 sieves past 2^16, where a cached tuple
+    # would outgrow SMALL_PRIMES and stay held.  The cache's keys are read
+    # off its dict (CPython keeps a lone int argument as the key itself)
+    cached = exact_core._primes_upto
+
+    def cached_bounds():
+        (cache,) = [r for r in gc.get_referents(cached)
+                    if isinstance(r, dict) and all(type(k) is int for k in r)]
+        return list(cache)
+
+    cached.cache_clear()
+    ns = range(2, search._offset_window_bound(600, False))
+    assert max(ns) > exact_core._SMALL_PRIME_LIMIT
+    classify_dimension(600)
+    assert all(len(cached(bound)) <= len(exact_core.SMALL_PRIMES)
+               for bound in cached_bounds())
+    cached(7)  # the keys read are the cache's
+    assert 7 in cached_bounds()
+
+
 # --- divisor-product candidate sets --------------------------------------
 
 def test_even_deg_candidates_dim10():
@@ -210,7 +233,7 @@ def test_offset_products_extend_the_enumerating_offsets():
 def test_offset_cascade_rejection_implies_coefficient_screens(dim, n, odd_deg):
     assume(_offset_cascade_rejects(n, _offset_products(dim, odd_deg), odd_deg))
     m = 2 * n + 1 if odd_deg else 2 * n
-    assert screen_coefficients(m, dim).witness is not None
+    assert screen_coefficients(m, dim) is not None
     if n > 64:
         top = top_coefficient_screen(m, dim)
         assert top is not None and top.index == n

@@ -120,35 +120,56 @@ def test_closed_top_form_matches_product_route():
 # --- screens -------------------------------------------------------------
 
 def test_screen_detects_first_offender():
-    rep = screen_coefficients(6, 5)
-    assert rep.witness is not None
-    assert rep.witness.index == 3
-    assert rep.witness.prime == 5
-    assert rep.witness.value == F(429, 5)
+    w = screen_coefficients(6, 5)
+    assert w is not None
+    assert w.index == 3
+    assert w.prime == 5
+    assert w.value == F(429, 5)
 
 
 def test_screen_odd_degree_three_allowance():
     # u_1 = (dim+2)/3 is allowed at index 1 for odd degrees
-    rep = screen_coefficients(3, 3)
-    assert rep.witness is None
-    rep5 = screen_coefficients(5, 124)
-    assert rep5.witness is None  # denominators 3 within the per-index budget
+    assert screen_coefficients(3, 3) is None
+    # denominators 3 within the per-index budget
+    assert screen_coefficients(5, 124) is None
 
 
 def test_screen_passes_on_integral_cases():
     for m, dim in [(4, 23), (5, 26), (12, 4), (2, 9)]:
-        rep = screen_coefficients(m, dim)
-        assert rep.witness is None
-        assert rep.valuations is not None
+        assert screen_coefficients(m, dim) is None
+
+
+def newton_exponents(m, dim):
+    """q -> (ord_q(u_1), ..., ord_q(u_n)) for each prime whose polygon
+    newton_screen builds, read off that polygon's points: (r + 1, ord_q of
+    the cleared u_r), where clearing multiplies an odd degree's u_r by
+    3^r."""
+    p = stiff_params(m, dim)
+    built = []
+    build = stiffness.newton_polygon_from_valuations
+
+    def spy(vals, q):
+        built.append(build(vals, q))
+        return built[-1]
+
+    with patch.object(stiffness, "newton_polygon_from_valuations", spy):
+        stiffness.newton_screen(m, dim)
+    out = {}
+    for polygon in built:
+        q, points = polygon.prime, polygon.points[2:]
+        assert [x for x, _ in points] == list(range(2, p.n + 2))
+        out[q] = tuple(v - (r if p.odd and q == 3 else 0)
+                       for r, (_, v) in enumerate(points, 1))
+    return out
 
 
 def test_screen_valuations_track_orders():
-    rep = screen_coefficients(4, 23)
+    ords = newton_exponents(4, 23)
     us = s_coefficients(4, 23)  # 50, 225
-    assert rep.valuations[2] == (1, 0)
-    assert rep.valuations[5] == (2, 2)
+    assert ords[2] == (1, 0)
+    assert ords[5] == (2, 2)
     for prime in (2, 3, 5):
-        for u, v in zip(us, rep.valuations[prime]):
+        for u, v in zip(us, ords[prime]):
             assert factorize(u.numerator).get(prime, 0) == v
 
 
@@ -158,10 +179,11 @@ sympy_factors = functools.lru_cache(maxsize=1 << 16)(sympy.factorint)
 
 
 def product_walk_screen(m, dim, track_primes=(2, 3, 5)):
-    """Slow twin of screen_coefficients: multiply each step's factors
-    before factoring them, and test every exponent after every step.  A
-    witness is (r, prime, valuation, exps), u_r = prod(q^exps[q]) over
-    the full factorization."""
+    """Slow twin of screen_coefficients and of newton_screen's exponents:
+    multiply each step's factors before factoring them, and test every
+    exponent after every step.  A witness is (r, prime, valuation, exps),
+    u_r = prod(q^exps[q]) over the full factorization; without one, the
+    exponents of u_1..u_n at each tracked prime."""
     p = stiff_params(m, dim)
     exps: dict[int, int] = {}
     tracks = {q: [] for q in track_primes}
@@ -197,14 +219,16 @@ def assert_witness_matches_twin(w, twin):
         assert w.value is None or w.value == value
 
 
-def assert_screen_matches_product_walk(m, dim, track_primes=(2, 3, 5)):
-    rep = screen_coefficients(m, dim, track_primes)
-    witness, valuations = product_walk_screen(m, dim, track_primes)
-    assert rep.valuations == valuations
+def assert_screen_matches_product_walk(m, dim):
+    w = screen_coefficients(m, dim)
+    witness, valuations = product_walk_screen(m, dim)
     if witness is None:
-        assert rep.witness is None
+        assert w is None
+        ords = newton_exponents(m, dim)
+        assert 2 in ords
+        assert ords == {q: valuations[q] for q in ords}
     else:
-        assert_witness_matches_twin(rep.witness, witness)
+        assert_witness_matches_twin(w, witness)
 
 
 @given(st.integers(2, 400), st.integers(3, 600))
@@ -223,7 +247,7 @@ def test_screen_matches_product_walk_for_large_dimensions(m, dim):
 def assert_rejects_matches_witness(m, dim):
     p = stiff_params(m, dim)
     assert scan_rejects(dim, p.odd, (p.n,)) == [
-        screen_coefficients(m, dim).witness is not None
+        screen_coefficients(m, dim) is not None
     ], (m, dim)
 
 
@@ -286,7 +310,7 @@ def test_scan_rejects_matches_the_screen_cell_by_cell(
     # and the low limits hand walks over inside the batch
     ns = range(lo, lo + count)
     twin = [
-        screen_coefficients(2 * n + odd_deg, dim).witness is not None
+        screen_coefficients(2 * n + odd_deg, dim) is not None
         for n in ns
     ]
     fresh = {False: (0,), True: (0,)}
@@ -316,7 +340,7 @@ def test_screen_rejects_across_the_table_edge(n, odd_deg, dim):
     # least-factor table for smooth_part
     m = 2 * n + 1 if odd_deg else 2 * n
     assert_rejects_matches_witness(m, dim)
-    w = screen_coefficients(m, dim).witness
+    w = screen_coefficients(m, dim)
     if w is not None and w.index <= 64:
         assert_witness_matches_twin(w, product_walk_screen(m, dim)[0])
 
@@ -326,7 +350,7 @@ def test_screen_rejects_across_the_table_edge(n, odd_deg, dim):
 ])
 def test_witness_prime_past_the_table_edge(m, dim, index):
     # the divisor 65537 is prime and no numerator factor before it holds it
-    w = screen_coefficients(m, dim).witness
+    w = screen_coefficients(m, dim)
     assert (w.index, w.prime, w.valuation) == (index, 65537, -1)
 
 
@@ -338,41 +362,6 @@ def test_screen_walk_does_not_depend_on_the_table_edge(m, dim):
     before = screen_coefficients(m, dim)
     with patch.object(stiffness, "_SMALL_PRIME_LIMIT", 4):
         assert screen_coefficients(m, dim) == before
-
-
-FAR = 10**9 + 7
-
-
-@pytest.mark.parametrize("m, dim, far_exponents", [
-    (4, 10**7, (0, 0)),
-    (4, FAR * 65537 - 2, (1, 1)),  # FAR in a rough cofactor
-    (4, FAR * FAR - 2, (2, 2)),  # FAR squared is the whole cofactor
-    (6, FAR - 6, (0, 1, 1)),  # FAR itself at the second step
-    (9, 5 * FAR - 10, (0, 1, 1, 1)),  # 5 FAR at the second step
-])
-def test_screen_tracks_a_prime_far_past_its_bound(
-    m, dim, far_exponents, monkeypatch
-):
-    # the prime bound comes from the step divisors alone, so a tracked
-    # prime of 10^9 builds no sieve up to it; its exponent is counted by
-    # dividing it out of the rough cofactors
-    bounds = []
-    original = exact_core._primes_upto
-
-    def spy(bound):
-        bounds.append(bound)
-        # checked before the call, so a bound of FAR fails without its sieve
-        assert bound < 10
-        return original(bound)
-
-    monkeypatch.setattr(exact_core, "_primes_upto", spy)
-    # the carried walk would decide these cells without a sieve; a limit
-    # of 0 hands each one to the factored walk this test is about
-    monkeypatch.setattr(stiffness, "_CARRY_BIT_LIMIT", 0)
-    track = (2, 7, FAR)
-    assert screen_coefficients(m, dim, track).valuations[FAR] == far_exponents
-    assert bounds
-    assert_screen_matches_product_walk(m, dim, track)
 
 
 def test_witness_sieve_stops_at_the_root_of_the_largest_factor(monkeypatch):
@@ -401,7 +390,7 @@ def test_witness_sieve_stops_at_the_root_of_the_largest_factor(monkeypatch):
         assert all(b <= min(root, 2 * p.n + 1) for b in bounds), (m, dim)
         # no prime up to B, nor any other, is left in a cofactor
         assert rough == []
-        witness = screen_coefficients(m, dim).witness
+        witness = screen_coefficients(m, dim)
         twin = product_walk_screen(m, dim)[0]
         assert_witness_matches_twin(witness, twin)
         assert {q: e for q, e in exps.items() if e} == {
@@ -441,7 +430,7 @@ CAP_CELLS = [
 
 @pytest.mark.parametrize("m, dim, left_out", CAP_CELLS)
 def test_witness_value_on_each_side_of_the_cap(m, dim, left_out, prime_calls):
-    w = screen_coefficients(m, dim).witness
+    w = screen_coefficients(m, dim)
     assert (w.value is None) == left_out
     assert prime_calls == []
     assert_screen_matches_product_walk(m, dim)
@@ -453,7 +442,7 @@ def test_witness_value_is_sized_without_factoring():
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        w = screen_coefficients(*HARD_COFACTOR_CELL).witness
+        w = screen_coefficients(*HARD_COFACTOR_CELL)
         times.append(time.perf_counter() - start)
     assert w.value is not None
     assert min(times) < 0.010
@@ -491,7 +480,7 @@ def test_screen_walk_calls_no_probable_prime_code_past_the_table(
     ]
     decided = 0
     for m, dim in cells:
-        w = screen_coefficients(m, dim).witness
+        w = screen_coefficients(m, dim)
         scan_rejects(dim, m % 2 == 1, (m // 2,))
         assert prime_calls == [], (m, dim)
         decided += w is not None and w.value is not None
@@ -512,7 +501,7 @@ def test_odd_degree_three_allowance_is_never_exceeded():
 @pytest.mark.parametrize("m, dim", [(1233, 4), (1184, 6)])
 def test_screen_matches_product_walk_past_the_value_cap(m, dim):
     assert_screen_matches_product_walk(m, dim)
-    assert screen_coefficients(m, dim).witness.value is None
+    assert screen_coefficients(m, dim).value is None
 
 
 def test_top_screen_agrees_with_full_screen():
@@ -524,12 +513,12 @@ def test_top_screen_agrees_with_full_screen():
             full = screen_coefficients(m, dim)
             n = m // 2
             if top is not None:
-                assert full.witness is not None, (m, dim)
-                assert full.witness.index <= top.index
-            elif full.witness is not None:
+                assert full is not None, (m, dim)
+                assert full.index <= top.index
+            elif full is not None:
                 # full screen may fail at small indices the top screen
                 # does not look at
-                assert full.witness.index < n - 2 or n < 3, (m, dim)
+                assert full.index < n - 2 or n < 3, (m, dim)
 
 
 def test_top_screen_runs_only_where_it_is_cheap():
@@ -561,16 +550,14 @@ def test_top_screen_past_its_dimension_limit_is_undecided(monkeypatch):
 def test_newton_screen_power_of_two_family():
     # dim 6: degrees with n = 2^l - 1 pass the coefficient screen but trip
     # the polygon at p=2 with slope 3/2
-    rep = screen_coefficients(14, 6)
-    assert rep.witness is None
+    assert screen_coefficients(14, 6) is None
     assert s_coefficients(14, 6)[:3] == [F(126), F(2520), F(18480)]
     polygon = newton_screen(14, 6)
     assert polygon is not None
     assert polygon.prime == 2
     assert F(3, 2) in polygon.slopes
 
-    rep30 = screen_coefficients(30, 6)
-    assert rep30.witness is None
+    assert screen_coefficients(30, 6) is None
     polygon30 = newton_screen(30, 6)
     assert polygon30 is not None and not polygon30.all_slopes_integer
 
