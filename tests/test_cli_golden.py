@@ -85,6 +85,10 @@ def golden_argv() -> list[list[str]]:
         for fmt in ("text", "json"):
             cases.append(["classify", "--dim", str(dim), "--format", fmt])
     cases.append(["classify", "--dim", "400", "--format", "json"])
+    for dim in range(41, 200, 2):
+        for fmt in ("text", "json"):
+            cases.append(["classify", "--dim", str(dim), "--format", fmt])
+    cases.append(["classify", "--dim", "401", "--format", "json"])
     cases.append(["classify", "--dim", "26", "--max-m", "3"])
     cases.append(["classify", "--dim", "26", "--max-m", "3",
                   "--format", "json"])
