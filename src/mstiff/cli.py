@@ -707,8 +707,11 @@ def cmd_verify(args: argparse.Namespace) -> Output:
             f"unknown theorem tag {args.tag!r}; known tags: "
             + ", ".join(theorem_tags())
         ) from None
-    report = verify_theorem(canonical, window=args.limit,
-                            below_cap=args.budget)
+    try:
+        report = verify_theorem(canonical, window=args.limit,
+                                below_cap=args.budget)
+    except ValueError:  # a family claim has no sweep for --budget to cap
+        raise UsageError(f"--budget does not apply to verify {args.tag}")
     code = EXIT_OK if report.passed else EXIT_NOT_EXISTS
     if args.format == "json":
         return code, _json(report.to_json())

@@ -2,15 +2,15 @@
 
 Two directions of the same question.  classify_dimension fixes the sphere
 and determines every degree admitting a stiff configuration by a bounded
-scan of n = m // 2 below a proven nonexistence threshold; in even
-dimensions it stops at the offset window bound n*, past which a
-congruence necessity on the top coefficient fails for every n, and a
-prime-window sieve rejects most n.  classify_degree fixes the degree; for
-degrees up to 5 the admissible dimensions are Pell recurrence streams,
-and from degree 6 on the report is explicitly a bounded search (direct
-scan plus candidates pulled from the cubic-point family).  verify_theorem
-recomputes the nonexistence statements behind the threshold table from
-scratch, with the shortcuts switched off.
+scan of n = m // 2 below a proven nonexistence threshold (in even
+dimensions, below the offset window bound n*); a prime-window sieve and
+the coefficient screen reject most n, and each branch keeps only the
+stages of the n left to the full decision.  classify_degree fixes the
+degree; for degrees up to 5 the admissible dimensions are Pell recurrence
+streams, and from degree 6 on the report is explicitly a bounded search
+(direct scan plus candidates pulled from the cubic-point family).
+verify_theorem recomputes the nonexistence statements behind the
+threshold table from scratch, with the shortcuts switched off.
 """
 from __future__ import annotations
 
@@ -243,28 +243,65 @@ class CandidateOutcome(NamedTuple):
     #              root-certification | unresolved
 
 
+def _rows(ns: Sequence[int], decided: dict[int, str], odd_deg: bool):
+    """A row per n of ns: its stage in decided, else coefficient-screen."""
+    return tuple(CandidateOutcome(n, 2 * n + odd_deg, decided.get(
+        n, "coefficient-screen")) for n in ns)
+
+
+def _degrees_at(decided: dict[int, str], odd_deg: bool, stage: str):
+    """The degrees m of the decided n at this stage, in scan order."""
+    return tuple(2 * n + odd_deg for n, s in decided.items() if s == stage)
+
+
 @dataclass(frozen=True)
 class BranchOutcome:
-    """One parity of degrees in a fixed dimension."""
+    """One parity of degrees in a fixed dimension: the scanned range of
+    n = m // 2 and the stage of each n `_decide_candidates` decided (every
+    other n reads coefficient-screen), whence rows, degrees, completeness."""
 
     dim: int
     odd_deg: bool
     method: str  # bounded-scan | all-degrees (dimension 2)
-    complete: bool
     bound: Optional[BoundResult]
-    candidates: tuple[CandidateOutcome, ...]
-    existing: tuple[int, ...]  # degrees m >= 4 admitting configurations
-    unresolved: tuple[int, ...]  # degrees left undecided within budget
+    scanned: range
+    decided: dict[int, str]  # n -> stage, or "unresolved"
     detail: str
+
+    @property
+    def candidates(self) -> tuple[CandidateOutcome, ...]:
+        return _rows(self.scanned, self.decided, self.odd_deg)
+
+    @property
+    def existing(self) -> tuple[int, ...]:  # degrees m >= 4 that exist
+        return _degrees_at(self.decided, self.odd_deg, "exists")
+
+    @property
+    def unresolved(self) -> tuple[int, ...]:  # undecided within budget
+        return _degrees_at(self.decided, self.odd_deg, "unresolved")
+
+    @property
+    def complete(self) -> bool:
+        return "unresolved" not in self.decided.values()
 
 
 @dataclass(frozen=True)
 class DimClassification:
     dim: int
-    all_degrees: bool  # dimension 2: every degree is realizable
-    degrees: tuple[int, ...]  # complete when `complete` (and not dim 2)
-    complete: bool
     branches: tuple[BranchOutcome, ...]
+
+    @property
+    def all_degrees(self) -> bool:  # dimension 2: every degree is realizable
+        return self.dim == 2
+
+    @property
+    def degrees(self) -> tuple[int, ...]:  # complete when `complete` is
+        return () if self.all_degrees else (1, 2, 3, *sorted(
+            m for b in self.branches for m in b.existing))
+
+    @property
+    def complete(self) -> bool:
+        return all(b.complete for b in self.branches)
 
     def to_json(self, max_m: Optional[int] = None) -> dict:
         """The object `mstiff classify --dim --format json` prints, with
@@ -282,10 +319,7 @@ class DimClassification:
                     "method": b.method,
                     "complete": b.complete,
                     "bound": None if b.bound is None else asdict(b.bound),
-                    "candidates": [
-                        {"n": r.n, "m": r.m, "status": r.status}
-                        for r in b.candidates
-                    ],
+                    "candidates": [r._asdict() for r in b.candidates],
                     "existing": list(b.existing),
                     "unresolved": list(b.unresolved),
                     "detail": b.detail,
@@ -310,8 +344,8 @@ class DimClassification:
             f"  classification complete: {'yes' if self.complete else 'no'}",
         ]
         for b in self.branches:
-            cands = ", ".join(str(r.n) for r in b.candidates[:12])
-            if len(b.candidates) > 12:
+            cands = ", ".join(map(str, b.scanned[:12]))
+            if len(b.scanned) > 12:
                 cands += ", ..."
             lines.append(
                 f"  {'odd' if b.odd_deg else 'even'} degrees [{b.method}]: "
@@ -329,44 +363,32 @@ class DimClassification:
 
 def _decide_candidates(
     dim: int, odd_deg: bool, ns: Sequence[int]
-) -> tuple[tuple[CandidateOutcome, ...], tuple[int, ...], tuple[int, ...]]:
-    """Decide each degree parameter in ns, in order, consulting no proven
-    nonexistence threshold: the one n-scan of classify_dimension and
-    verify_theorem.
+) -> dict[int, str]:
+    """{n: stage} for the degree parameters of ns that the screens leave to
+    the full decision, in the order of ns: the one n-scan of
+    classify_dimension and verify_theorem, which consults no proven
+    nonexistence threshold.
 
     In even dimensions one prime sieve (`_window_survivors`) rejects most
     n; the rest, and every n of an odd dimension, go to the coefficient
     screen in one batch (`scan_rejects`: nothing is factored and no
     witness is built).  Either rejection is the coefficient-screen verdict
     stiff_exists would give, since the window, top and full screens never
-    contradict each other.  Every other n is decided by stiff_exists(...,
-    use_bounds=False) or reads `unresolved`; dimension 2 is not screened.
-    """
-    # per n, aligned with ns: whether the window or the screen rejects it
-    if dim == 2:
-        rejected = [False] * len(ns)
-    elif dim % 2:
-        rejected = scan_rejects(dim, odd_deg, ns)
-    else:
-        left = _window_survivors(dim, odd_deg, ns)
-        walked = iter(scan_rejects(dim, odd_deg, [n for n in ns if n in left]))
-        rejected = [n not in left or next(walked) for n in ns]
-    rows, existing, unresolved = [], [], []
-    for n, hit in zip(ns, rejected):
-        m = 2 * n + 1 if odd_deg else 2 * n
-        if hit:
-            rows.append(CandidateOutcome(n, m, "coefficient-screen"))
-            continue
+    contradict each other, so a rejected n is left out.  Every other n
+    maps to the stage of stiff_exists(..., use_bounds=False) or to
+    `unresolved`; dimension 2 is not screened."""
+    if dim % 2 == 0 and dim > 2:
+        survivors = _window_survivors(dim, odd_deg, ns)
+        ns = [n for n in ns if n in survivors]
+    hits = scan_rejects(dim, odd_deg, ns) if dim > 2 else [False] * len(ns)
+    decided = {}
+    for n in (n for n, hit in zip(ns, hits) if not hit):
         try:
-            verdict = stiff_exists(m, dim, use_bounds=False)
+            decided[n] = stiff_exists(2 * n + odd_deg, dim,
+                                      use_bounds=False).stage
         except UndecidedError:
-            rows.append(CandidateOutcome(n, m, "unresolved"))
-            unresolved.append(m)
-            continue
-        rows.append(CandidateOutcome(n, m, verdict.stage))
-        if verdict.exists:
-            existing.append(m)
-    return tuple(rows), tuple(existing), tuple(unresolved)
+            decided[n] = "unresolved"
+    return decided
 
 
 def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
@@ -379,12 +401,10 @@ def _classify_branch(dim: int, odd_deg: bool) -> BranchOutcome:
         ended = "n*" if n_star < hi else "the threshold"
         hi = min(hi, n_star)
         detail = f"; {ended} ended the scan (offset window bound n* = {n_star})"
-    ns = tuple(range(2, hi))
-    rows, existing, unresolved = _decide_candidates(dim, odd_deg, ns)
-    return BranchOutcome(
-        dim, odd_deg, "bounded-scan", not unresolved, bound, rows,
-        existing, unresolved, f"scanned n in [2, {hi}){detail}",
-    )
+    scanned = range(2, hi)
+    decided = _decide_candidates(dim, odd_deg, scanned)
+    return BranchOutcome(dim, odd_deg, "bounded-scan", bound, scanned,
+                         decided, f"scanned n in [2, {hi}){detail}")
 
 
 def classify_dimension(dim: int) -> DimClassification:
@@ -393,32 +413,25 @@ def classify_dimension(dim: int) -> DimClassification:
     Each parity branch scans n = m // 2 below the paper's threshold
     (`n_upper_bound`) and, in even dimensions with the divisor-product
     argument, below the offset window bound n* past which the offset
-    necessity fails for every n; a prime window rejects most n.  The
-    result is complete exactly when both branches are; an undecidable n
-    leaves its branch incomplete.
+    necessity fails for every n; a prime window rejects most n.  Each
+    branch keeps its scanned range and the stages of the few n the
+    screens left to the full decision; its rows, the degrees and
+    completeness are derived from them.  The result is complete exactly
+    when both branches are; an undecidable n leaves its branch incomplete.
     """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if dim == 2:
-        branch = BranchOutcome(
-            2, False, "all-degrees", True, None, (), (), (),
-            "equal-weight configurations exist for every degree",
-        )
-        return DimClassification(2, True, (), True, (branch,))
+        return DimClassification(2, (BranchOutcome(
+            2, False, "all-degrees", None, range(0), {},
+            "equal-weight configurations exist for every degree"),))
     for m in (1, 2, 3):
         if not stiff_exists(m, dim).exists:
             raise AssertionError(
                 f"degree {m} must exist in every dimension, not in {dim}"
             )
-    even = _classify_branch(dim, False)
-    odd = _classify_branch(dim, True)
-    degrees = [1, 2, 3] + sorted(even.existing + odd.existing)
     return DimClassification(
-        dim,
-        False,
-        tuple(degrees),
-        even.complete and odd.complete,
-        (even, odd),
+        dim, (_classify_branch(dim, False), _classify_branch(dim, True))
     )
 
 
@@ -622,26 +635,22 @@ def _expected_degrees(dim: int, odd_deg: bool) -> set[int]:
     return {4} if dim in dims_for_degree4(dim + 1) else set()
 
 
-def _scan_branch(
-    dim: int,
-    odd_deg: bool,
-    lo: int,
-    hi: int,
-    checks: list[str],
-    label: str,
-) -> set[int]:
+def _scan_branch(dim: int, odd_deg: bool, lo: int, hi: int,
+                 checks: list[str], label: str) -> set[int]:
     """Degrees of this parity admitting a configuration, over n in
     [lo, hi): the scan of `_decide_candidates`, which consults no proven
     nonexistence threshold, plus one check line.  An n the scan leaves
     unresolved raises UndecidedError, since no claim holds past it."""
-    _, existing, unresolved = _decide_candidates(dim, odd_deg, range(lo, hi))
+    decided = _decide_candidates(dim, odd_deg, range(lo, hi))
+    unresolved = _degrees_at(decided, odd_deg, "unresolved")
     if unresolved:
         raise UndecidedError(unresolved[0], dim, "left unresolved by the scan")
+    existing = set(_degrees_at(decided, odd_deg, "exists"))
     checks.append(
         f"{label}: decided n in [{lo}, {hi}) without shortcuts, "
         f"existing degrees {sorted(existing) or 'none'}"
     )
-    return set(existing)
+    return existing
 
 
 def _verify_branch_claim(
@@ -658,15 +667,13 @@ def _verify_branch_claim(
             f"threshold {bound.threshold} with tag {bound.tag}"
             + (" (conservative)" if bound.conservative else "")
         )
-        hi = bound.threshold
-        truncated = below_cap is not None and below_cap < hi
-        if truncated:
-            hi = below_cap
-        existing = _scan_branch(
-            spec.dim, spec.odd_deg, 2, hi, checks, "below threshold"
-        )
-        expected = _expected_degrees(spec.dim, spec.odd_deg)
-        expected = {m for m in expected if (m // 2) < hi}
+        hi = bound.threshold if below_cap is None \
+            else min(below_cap, bound.threshold)
+        truncated = hi < bound.threshold
+        existing = _scan_branch(spec.dim, spec.odd_deg, 2, hi, checks,
+                                "below threshold")
+        expected = {m for m in _expected_degrees(spec.dim, spec.odd_deg)
+                    if m // 2 < hi}
         if existing != expected:
             ok = False
             checks.append(f"expected existing degrees {sorted(expected)}")
@@ -699,9 +706,8 @@ def _scan_window(
     return not existing
 
 
-def _verify_family_claim(
-    tag: str, spec: _FamilyClaim, window: int
-) -> TheoremReport:
+def _verify_family_claim(tag: str, spec: _FamilyClaim,
+                         window: int) -> TheoremReport:
     checks: list[str] = []
     ok = True
     for dim in spec.sample_dims:
@@ -712,24 +718,22 @@ def _verify_family_claim(
             continue
         expected = _expected_degrees(dim, spec.odd_deg)
         if tag == "odd-dim-valuation":
-            existing = _scan_branch(
-                dim, spec.odd_deg, 2, bound.threshold, checks,
-                f"dim {dim} below threshold"
-            )
+            existing = _scan_branch(dim, spec.odd_deg, 2, bound.threshold,
+                                    checks, f"dim {dim} below threshold")
         else:
             cand = divisor_candidates(dim, spec.odd_deg)
             if cand is None:
                 ok = False
                 checks.append(f"dim {dim}: no divisor-product candidates")
                 continue
-            rows, existing_t, unresolved = _decide_candidates(
-                dim, spec.odd_deg, cand.candidates
-            )
-            existing = set(existing_t)
+            decided = _decide_candidates(dim, spec.odd_deg, cand.candidates)
+            existing = set(_degrees_at(decided, spec.odd_deg, "exists"))
+            unresolved = _degrees_at(decided, spec.odd_deg, "unresolved")
             checks.append(
                 f"dim {dim}: candidates {list(cand.candidates)} -> "
-                + ", ".join(f"m={r.m} {r.status}" for r in rows)
-                if rows
+                + ", ".join(f"m={r.m} {r.status}" for r in
+                            _rows(cand.candidates, decided, spec.odd_deg))
+                if cand.candidates
                 else f"dim {dim}: no candidates survive the necessity"
             )
             if unresolved:
@@ -764,12 +768,15 @@ def verify_theorem(
     the rest, so each check line's degrees are those of the full decision.
 
     window: how many n past the threshold to sample (skipped for family
-    members whose threshold is too large to scan).  below_cap truncates
-    the below-threshold sweep; the report is then marked not passed, since
-    the claim was only partially examined.
+    members whose threshold is too large to scan).  below_cap truncates a
+    branch claim's below-threshold sweep; the report is then marked not
+    passed, since the claim was only partially examined.  A family claim
+    has no such sweep to cap: below_cap raises ValueError there.
     """
     tag = resolve_theorem_tag(tag)
     if tag in _BRANCH_CLAIMS:
         return _verify_branch_claim(tag, _BRANCH_CLAIMS[tag], window,
                                     below_cap)
+    if below_cap is not None:
+        raise ValueError(f"below_cap does not apply to family claim {tag}")
     return _verify_family_claim(tag, _FAMILY_CLAIMS[tag], window)

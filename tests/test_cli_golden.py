@@ -65,6 +65,9 @@ BAD_INPUTS = (
     ["verify", "no-such-claim"],
     ["verify", "dim4-even-deg", "--limit", "-1"],
     ["verify", "dim4-even-deg", "--budget", "0"],
+    ["verify", "odd-dim-valuation", "--budget", "2"],
+    ["verify", "even-dim-divisor-product", "--budget", "2"],
+    ["verify", "odd-deg-divisor-product", "--budget", "2"],
 )
 
 

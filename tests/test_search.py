@@ -9,6 +9,7 @@ import gc
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import sympy
@@ -99,13 +100,25 @@ def test_window_rejection_implies_cascade_rejection(dim, odd_deg, ns):
             assert _offset_cascade_rejects(n, offsets, odd_deg), (n, dim)
 
 
+def _map_rows(dim, odd_deg, ns):
+    """Rows of _decide_candidates over ns: its stage for each n it keeps,
+    coefficient-screen for every other n."""
+    decided = _decide_candidates(dim, odd_deg, ns)
+    assert set(decided) <= set(ns)
+    return [(n, 2 * n + 1 if odd_deg else 2 * n,
+             decided.get(n, "coefficient-screen")) for n in ns]
+
+
 def test_decided_rows_match_the_twin_route_in_even_dimensions():
     for dim in range(4, 201, 2):
         for b in classify_dimension(dim).branches:
             ns = tuple(r.n for r in b.candidates)
             rows = [(r.n, r.m, r.status) for r in b.candidates]
-            assert rows == _twin_route_rows(dim, b.odd_deg, ns), \
-                (dim, b.odd_deg)
+            twin = _twin_route_rows(dim, b.odd_deg, ns)
+            assert rows == twin, (dim, b.odd_deg)
+            assert set(b.decided) == {
+                n for n, _, status in twin if status != "coefficient-screen"
+            }, (dim, b.odd_deg)
 
 
 def test_window_edge_cases():
@@ -123,8 +136,9 @@ def test_window_edge_cases():
             n for n in ns if max(sympy.primefactors(n + theta)) < 5
         }, dim
     assert 2 in _window_survivors(4, True, [2])
-    rows, existing, _ = _decide_candidates(4, True, ns)
-    assert rows[0] == (2, 5, "exists") and existing == (5,)
+    rows = _map_rows(4, True, ns)
+    existing = [m for _, m, status in rows if status == "exists"]
+    assert rows[0] == (2, 5, "exists") and existing == [5]
     assert _window_survivors(4, True, []) == set()
 
 
@@ -148,6 +162,19 @@ def test_window_sieve_stays_out_of_the_walk_cache():
                for bound in cached_bounds())
     cached(7)  # the keys read are the cache's
     assert 7 in cached_bounds()
+
+
+def test_dimension_scan_keeps_no_row_per_n():
+    # a branch holds its scanned range and the n the screens leave to the
+    # full decision, not one row per scanned n (81,302 and 49,454 n here)
+    tracemalloc.start()
+    try:
+        c = classify_dimension(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(b.scanned) for b in c.branches] == [81_302, 49_454]
+    assert peak < 8 * 2**20
 
 
 # --- divisor-product candidate sets --------------------------------------
@@ -268,9 +295,9 @@ def test_scan_rows_past_the_threshold_are_the_decision_without_bounds():
     for dim in (10, 12, 14):
         threshold = n_upper_bound(dim, False).threshold
         ns = tuple(range(2, threshold + 30))
-        rows, _, _ = _decide_candidates(dim, False, ns)
+        rows = _map_rows(dim, False, ns)
         twin = _rows_without_cascade(dim, False, ns, use_bounds=False)
-        assert [(r.n, r.m, r.status) for r in rows] == twin
+        assert rows == twin
         assert "bound" not in {status for _, _, status in twin}
 
 
@@ -377,9 +404,9 @@ def _assert_scan_rows_match_stiff_exists():
     statuses = set()
     for dim, odd_deg, threshold in _bounded_scan_branches():
         ns = tuple(range(2, threshold))
-        rows, _, _ = _decide_candidates(dim, odd_deg, ns)
+        rows = _map_rows(dim, odd_deg, ns)
         twin = _rows_without_cascade(dim, odd_deg, ns)
-        assert [(r.n, r.m, r.status) for r in rows] == twin, (dim, odd_deg)
+        assert rows == twin, (dim, odd_deg)
         statuses.update(status for _, _, status in twin)
     return statuses
 
@@ -662,6 +689,15 @@ def test_verify_dim8_and_truncation():
     truncated = verify_theorem("dim8-even-deg", below_cap=10)
     assert not truncated.passed
     assert any("truncated" in line for line in truncated.checks)
+
+
+@pytest.mark.parametrize("tag", ["odd-dim-valuation", "thm-3.10",
+                                 "even-dim-divisor-product"])
+def test_verify_refuses_a_cap_on_a_family_claim(tag):
+    # a family claim has no below-threshold sweep to truncate, so a cap
+    # would be ignored and the report read as a full check
+    with pytest.raises(ValueError, match="family claim"):
+        verify_theorem(tag, below_cap=2)
 
 
 def test_verify_consults_no_threshold(monkeypatch):
