@@ -257,8 +257,8 @@ def _degrees_at(decided: dict[int, str], odd_deg: bool, stage: str):
 @dataclass(frozen=True)
 class BranchOutcome:
     """One parity of degrees in a fixed dimension: the scanned range of
-    n = m // 2 and the stage of each n `_decide_candidates` decided (every
-    other n reads coefficient-screen), whence rows, degrees, completeness."""
+    n = m // 2 and the stage of each n `_decide_candidates` kept; every
+    other scanned n reads coefficient-screen.  The rest is derived."""
 
     dim: int
     odd_deg: bool

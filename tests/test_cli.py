@@ -170,8 +170,8 @@ def test_unknown_theorem_lists_tags(capsys):
                                  "even-dim-divisor-product",
                                  "odd-deg-divisor-product", "thm-3.10"])
 def test_verify_budget_on_a_family_claim_is_refused(capsys, tag):
-    # only branch claims have a below-threshold sweep for --budget to cap;
-    # a family claim used to ignore it and pass on the full scans
+    # only branch claims have a below-threshold sweep for --budget to cap,
+    # so a family claim refuses it rather than pass on its full scans
     code, out, err = run(capsys, "verify", tag, "--budget", "2")
     assert (code, out) == (2, "")
     assert err == f"error: --budget does not apply to verify {tag}\n"
