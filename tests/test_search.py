@@ -6,6 +6,7 @@ frozen only after cross-checking each degree against the recurrence
 streams and the direct decision procedure.
 """
 import gc
+import hashlib
 import math
 import subprocess
 import sys
@@ -389,6 +390,21 @@ def test_window_bound_values():
         59, 179, 1851, 4301]
     assert [_offset_window_bound(d, True) for d in (16, 26, 86, 120)] == [
         235, 340, 1414, 2751]
+
+
+# sha256 of the lines "d parity n*" (parity 1 for odd degrees), one per
+# branch of _divisor_branches(2000) in its order; generated once from the
+# per-theta factoring route, never to be regenerated
+WINDOW_BOUNDS_SHA256 = (
+    "9adf75e793d04de8186ff4f9faf99b0f0a15b0ede64b1baca9f7564fd9f53458")
+
+
+def test_window_bounds_are_locked_to_d_2000():
+    lines = "".join(
+        f"{dim} {int(odd_deg)} {_offset_window_bound(dim, odd_deg)}\n"
+        for dim, odd_deg in _divisor_branches(2000))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == WINDOW_BOUNDS_SHA256
 
 
 def _bounded_scan_branches():
