@@ -103,10 +103,11 @@ def factorize(n: int) -> dict[int, int]:
 
     |n| < 2^16 is read off the least-prime-factor table; a larger |n| is
     trial-divided by the table's primes (`smooth_part`), which reach its
-    square root.  |n| >= 2^32 raises ValueError; no caller needs more,
-    since the offset window bound and the divisor candidates factor each
-    factor c - 2 theta of an offset product, below 2 dim, never the
-    product itself.
+    square root.  |n| >= 2^32 raises ValueError; no caller needs more:
+    the offset window bound factors once each of the about dim / 2 odd
+    integers that the factors c - 2 theta of all the offset products
+    fill, and the divisor candidates the factors of two or four products,
+    all below 2 dim; no product is factored whole.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -76,31 +76,24 @@ class DivisorCandidateSet:
     divisor_count: int
 
 
-def _offset_factors(dim: int, odd_deg: bool) -> list[tuple[int, list[int]]]:
-    """(theta, factors c - 2 theta of P_theta) for every denominator factor
-    n + theta of the top coefficient u_n (even dim >= 4); see
-    _offset_window_bound.  The layout is stiffness._closed_top_parts at
-    n = 0, where the numerators 2n + c read as their constants c and the
-    denominators n + theta as their offsets theta."""
-    _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
-    return [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
-
-
 def _window_survivors(dim: int, odd_deg: bool, ns: Sequence[int]) -> set[int]:
-    """The n of ns (even dim >= 4), and perhaps others, whose offset window
-    [n + theta_min, n + theta_max] has no multiple of a prime q past every
-    |c - 2 theta| and past F = {2} (even degrees) or {2, 3} (odd).  Such a
-    q divides the part of n + theta prime to F but no factor of P_theta
-    (odd, nonzero, smaller), so the offset necessity (_offset_window_bound)
-    fails and the screen rejects n.  One sieve over the windows of ns marks
-    those multiples.  Dimension 4's even degrees have no offsets."""
-    offsets = _offset_factors(dim, odd_deg)
-    if not offsets or not ns:
+    """The n of ns (ascending; even dim >= 4), and perhaps others, whose
+    offset window [n + theta_min, n + theta_max] has no multiple of a
+    prime q past F = {2} (even degrees) or {2, 3} (odd) and past every
+    |c - 2 theta|, the largest at an end of the interval of odd integers
+    that the factors of all the P_theta fill.  Such a q divides the part
+    of n + theta prime to F but no factor of P_theta (odd, nonzero,
+    smaller), so the offset necessity (_offset_window_bound) fails and the
+    screen rejects n.  One sieve over the windows of ns marks those
+    multiples.  Dimension 4's even degrees have no offsets."""
+    _, cs, thetas = _closed_top_parts(0, dim, odd_deg)
+    if not thetas or not ns:
         return set(ns)
-    lo, t = min(ns), len(offsets)
-    base = lo + offsets[0][0]
-    top = max([3 if odd_deg else 2, *(abs(c) for _, f in offsets for c in f)])
-    rough = bytearray(max(ns) - lo + t)  # whether base + i has such a q
+    lo, t = ns[0], len(thetas)
+    base = lo + thetas[0]
+    ends = (cs[0] - 2 * thetas[-1], cs[-1] - 2 * thetas[0]) if cs else ()
+    top = max([3 if odd_deg else 2, *map(abs, ends)])
+    rough = bytearray(ns[-1] - lo + t)  # whether base + i has such a q
     # uncached: the scan's bound is its own, and its tuple (about 263,000
     # primes per branch at d = 4000) would stay in, and evict the entries
     # of, the cache the coefficient walks share
@@ -114,6 +107,29 @@ def _window_survivors(dim: int, odd_deg: bool, ns: Sequence[int]) -> set[int]:
         survivors.add(lo + i)
         i = rough.find(window, i + 1)
     return survivors
+
+
+def _offset_exponents(dim: int, odd_deg: bool) -> dict[int, int]:
+    """E_p = max_theta v_p(P_theta) for every prime of the P_theta of
+    _offset_window_bound.  The c of the layout step by 2, so the factors
+    c - 2 theta of P_theta fill an interval of odd integers, and moving
+    to theta + 1 slides it down by 2: its top factor leaves and one enters
+    below.  A running exponent map follows the slide, and only the primes
+    of the entering factor can raise E_p, so each of the len(cs) +
+    len(thetas) - 1 factors is factored once."""
+    _, cs, thetas = _closed_top_parts(0, dim, odd_deg)
+    window = deque(factorize(c - 2 * thetas[0]) for c in cs)
+    vals: Counter[int] = Counter()
+    for f in window:
+        vals.update(f)
+    top = dict(vals)
+    for theta in thetas[1:]:
+        vals.subtract(window.pop())
+        window.appendleft(factorize(cs[0] - 2 * theta))
+        for p, e in window[0].items():
+            vals[p] += e
+            top[p] = max(top.get(p, 0), vals[p])
+    return top
 
 
 def _offset_window_bound(dim: int, odd_deg: bool) -> int:
@@ -151,23 +167,16 @@ def _offset_window_bound(dim: int, odd_deg: bool) -> int:
     (n + theta_max)^|F| increases in n since T > |F|, so the inequality
     holds on an initial segment of n and n* is the least n where it
     fails, found by bisection.  E_p is read off the factors c - 2 theta
-    of P_theta (each below 2 dim), never off P_theta itself.
+    (below 2 dim) by _offset_exponents, never off P_theta itself.
     """
-    offsets = _offset_factors(dim, odd_deg)
+    _, _, thetas = _closed_top_parts(0, dim, odd_deg)
     free = (2, 3) if odd_deg else (2,)
-    t = len(offsets)
-    top: dict[int, int] = {}  # E_p for p not in F
-    for _, factors in offsets:
-        vals: Counter[int] = Counter()
-        for c in factors:
-            vals.update(factorize(c))
-        for p, e in vals.items():
-            if p not in free and e > top.get(p, 0):
-                top[p] = e
+    t = len(thetas)
     k = math.prod(p ** (t // (p - 1)) for p in free)
-    for p, e in top.items():
-        k *= p ** sum(-(-t // p**j) for j in range(1, e + 1))
-    lo_theta, hi_theta = offsets[0][0], offsets[-1][0]
+    for p, e in _offset_exponents(dim, odd_deg).items():
+        if p not in free:
+            k *= p ** sum(-(-t // p**j) for j in range(1, e + 1))
+    lo_theta, hi_theta = thetas[0], thetas[-1]
 
     def holds(n: int) -> bool:
         return (n + lo_theta) ** t <= k * (n + hi_theta) ** len(free)
@@ -188,14 +197,15 @@ def divisor_candidates(
     degrees, >= 16 for odd).  None when the dimension class has no
     divisor-product argument, or when enumerating the divisors would
     exceed _DIVISOR_BUDGET (callers must then treat the branch as open).
-    Each P_theta is factored through its factors c - 2 theta, never
-    as one number.
+    Only the first two (even degrees) or four (odd degrees) offsets are
+    built; each P_theta is factored through its factors c - 2 theta,
+    never as one number.
     """
     if dim % 2 or dim < (16 if odd_deg else 10):
         return None
-    # the first two (even degrees) or four (odd degrees) offsets enumerate
-    offsets = _offset_factors(dim, odd_deg)[: 4 if odd_deg else 2]
-    thetas, offset_factors = zip(*offsets)
+    _, cs, thetas = _closed_top_parts(0, dim, odd_deg)
+    thetas = tuple(thetas[: 4 if odd_deg else 2])
+    offset_factors = [[c - 2 * theta for c in cs] for theta in thetas]
     products = tuple(map(math.prod, offset_factors))
 
     factored = []
@@ -364,22 +374,26 @@ class DimClassification:
 def _decide_candidates(
     dim: int, odd_deg: bool, ns: Sequence[int]
 ) -> dict[int, str]:
-    """{n: stage} for the degree parameters of ns that the screens leave to
-    the full decision, in the order of ns: the one n-scan of
-    classify_dimension and verify_theorem, which consults no proven
+    """{n: stage} for the degree parameters of ns (ascending) that the
+    screens leave to the full decision, in the order of ns: the one n-scan
+    of classify_dimension and verify_theorem, which consults no proven
     nonexistence threshold.
 
     In even dimensions one prime sieve (`_window_survivors`) rejects most
-    n; the rest, and every n of an odd dimension, go to the coefficient
-    screen in one batch (`scan_rejects`: nothing is factored and no
-    witness is built).  Either rejection is the coefficient-screen verdict
-    stiff_exists would give, since the window, top and full screens never
-    contradict each other, so a rejected n is left out.  Every other n
-    maps to the stage of stiff_exists(..., use_bounds=False) or to
-    `unresolved`; dimension 2 is not screened."""
+    n; a range ns keeps the sorted survivors that lie in it, with no test
+    per n of ns.  The rest, and every n of an odd dimension, go to the
+    coefficient screen in one batch (`scan_rejects`: nothing is factored
+    and no witness is built).  Either rejection is the coefficient-screen
+    verdict stiff_exists would give, since the window, top and full
+    screens never contradict each other, so a rejected n is left out.
+    Every other n maps to the stage of stiff_exists(..., use_bounds=False)
+    or to `unresolved`; dimension 2 is not screened."""
     if dim % 2 == 0 and dim > 2:
         survivors = _window_survivors(dim, odd_deg, ns)
-        ns = [n for n in ns if n in survivors]
+        if isinstance(ns, range):  # O(1) `in`, not a test per n of ns
+            ns = sorted(n for n in survivors if n in ns)
+        else:
+            ns = [n for n in ns if n in survivors]
     hits = scan_rejects(dim, odd_deg, ns) if dim > 2 else [False] * len(ns)
     decided = {}
     for n in (n for n, hit in zip(ns, hits) if not hit):

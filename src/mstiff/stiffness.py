@@ -496,9 +496,9 @@ def _closed_top_parts(
 ) -> tuple[int, list[int], list[int]]:
     """u_n = 2^a * prod(nums) / prod(dens) for even dim, all O(dim) many
     factors of size O(n).  Valid for dim >= 4 even, n >= 1.  At n = 0 it
-    gives the layout itself: nums are the constants c of the numerators
-    2n + c and dens the offsets theta of the denominators n + theta, as
-    search._offset_factors reads them."""
+    gives the layout itself, in O(dim): nums are the constants c of the
+    numerators 2n + c (step 2) and dens the offsets theta of the
+    denominators n + theta (step 1), the two intervals search reads."""
     if dim % 2 != 0 or dim < 4:
         raise ValueError("closed top form needs even dim >= 4")
     if odd_deg:

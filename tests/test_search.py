@@ -5,16 +5,18 @@ offset products before the implementation; classification outcomes were
 frozen only after cross-checking each degree against the recurrence
 streams and the direct decision procedure.
 """
+import bisect
 import gc
 import hashlib
 import math
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mstiff import exact_core, search, stiffness
@@ -405,6 +407,74 @@ def test_window_bounds_are_locked_to_d_2000():
         for dim, odd_deg in _divisor_branches(2000))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == WINDOW_BOUNDS_SHA256
+
+
+def _per_theta_window_bound(dim, odd_deg):
+    """Slow twin of search._offset_window_bound, the route before the
+    sliding exponent map: (E_p, n*) with E_p read off a fresh exponent map
+    of each P_theta, which factors every factor c - 2 theta of every theta
+    (about dim^2 / 8 factorize calls per branch)."""
+    _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
+    offsets = [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
+    free = (2, 3) if odd_deg else (2,)
+    t = len(offsets)
+    top = {}  # E_p for every prime of some P_theta
+    for _, factors in offsets:
+        vals = Counter()
+        for c in factors:
+            vals.update(exact_core.factorize(c))
+        for p, e in vals.items():
+            if e > top.get(p, 0):
+                top[p] = e
+    k = math.prod(p ** (t // (p - 1)) for p in free)
+    for p, e in top.items():
+        if p not in free:
+            k *= p ** sum(-(-t // p**j) for j in range(1, e + 1))
+    lo_theta, hi_theta = offsets[0][0], offsets[-1][0]
+
+    def holds(n):
+        return (n + lo_theta) ** t <= k * (n + hi_theta) ** len(free)
+
+    hi = 4
+    while holds(hi):
+        hi *= 2
+    n_star = bisect.bisect_left(range(hi), True, 2,
+                                key=lambda n: not holds(n))
+    return top, n_star
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(5, 1500).map(lambda h: 2 * h), odd_deg=st.booleans())
+@example(dim=3000, odd_deg=False)
+@example(dim=3000, odd_deg=True)
+@example(dim=10, odd_deg=False)
+@example(dim=16, odd_deg=True)
+def test_sliding_exponents_match_the_per_theta_twin(dim, odd_deg):
+    assume(dim >= 16 or not odd_deg)
+    top, n_star = _per_theta_window_bound(dim, odd_deg)
+    assert search._offset_exponents(dim, odd_deg) == top, (dim, odd_deg)
+    assert _offset_window_bound(dim, odd_deg) == n_star, (dim, odd_deg)
+
+
+def test_window_bound_factors_each_offset_factor_once(monkeypatch):
+    # the factors of all the P_theta fill one interval of odd integers,
+    # len(cs) + len(thetas) - 1 of them; factoring each factor of each
+    # theta instead makes 498,501 calls at d = 2000
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return exact_core.factorize(x)
+
+    monkeypatch.setattr(search, "factorize", spy)
+    for odd_deg in (False, True):
+        calls.clear()
+        _offset_window_bound(2000, odd_deg)
+        _, cs, thetas = _closed_top_parts(0, 2000, odd_deg)
+        # the layout itself stays O(d)
+        assert len(cs) + len(thetas) <= 2000
+        assert len(calls) == len(cs) + len(thetas) - 1 <= 2 * 2000
+        assert len(set(calls)) == len(calls)
 
 
 def _bounded_scan_branches():
