@@ -26,7 +26,6 @@ import itertools
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -391,6 +390,10 @@ def _classify_deg_sweep(args: argparse.Namespace) -> Output:
 
     with ExitStack() as stack:
         if args.workers > 1 and len(todo) > 1:
+            # imported here: the pool's modules add about 2 MB of resident
+            # memory to every run, and only a sweep with workers uses them
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, len(todo) // (args.workers * 8))
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=args.workers)
