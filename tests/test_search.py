@@ -410,10 +410,10 @@ def test_window_bounds_are_locked_to_d_2000():
 
 
 def _per_theta_window_bound(dim, odd_deg):
-    """Slow twin of search._offset_window_bound, the route before the
-    sliding exponent map: (E_p, n*) with E_p read off a fresh exponent map
-    of each P_theta, which factors every factor c - 2 theta of every theta
-    (about dim^2 / 8 factorize calls per branch)."""
+    """Slow twin of search._offset_window_bound: (E_p, n*) with E_p read
+    off a fresh exponent map of each P_theta, which factors every factor
+    c - 2 theta of every theta (about dim^2 / 8 factorize calls per
+    branch)."""
     _, odds, thetas = _closed_top_parts(0, dim, odd_deg)
     offsets = [(theta, [c - 2 * theta for c in odds]) for theta in thetas]
     free = (2, 3) if odd_deg else (2,)
@@ -459,7 +459,7 @@ def test_sliding_exponents_match_the_per_theta_twin(dim, odd_deg):
 def test_window_bound_factors_each_offset_factor_once(monkeypatch):
     # the factors of all the P_theta fill one interval of odd integers,
     # len(cs) + len(thetas) - 1 of them; factoring each factor of each
-    # theta instead makes 498,501 calls at d = 2000
+    # theta instead makes 249,001 and 249,500 calls at d = 2000
     calls = []
 
     def spy(x):
