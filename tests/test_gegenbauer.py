@@ -6,6 +6,7 @@ recurrence, kernel, and closed forms are each held against an independent
 route.  The kernel is also held against its slow twin, which builds the
 kernel polynomial by multiplying the orthogonal polynomials out.
 """
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy.ntheory.factor_ import core
 
+from mstiff.diophantine import dims_for_degree4, dims_for_degree5
 from mstiff.exact_core import poly_eval
 from mstiff.gegenbauer import (
     QuadSurd,
@@ -358,6 +360,30 @@ def test_closed_forms_dim_two_uniform_weights():
     assert pairs4[1][0] == (2 + surd_sqrt(2)) / 4
     pairs5, _ = closed_form_quadrature(5, 2)
     assert pairs5[1][0] == (5 + surd_sqrt(5)) / 8
+
+
+# sha256 of the lines "m d repr" (or "m d ValueError: message"), one per
+# m = 1..5 over d = 2..399 and then the degree-4 and degree-5 stream
+# dimensions below 10^30; generated once from the QuadSurd field
+# arithmetic, never to be regenerated
+CLOSED_FORMS_SHA256 = (
+    "dd8515e2f9847d1b2363d71c32b8acec3fb53ccf7e3ac5fa0c142d05b27944b8")
+
+
+def test_closed_forms_are_locked():
+    dims = [*range(2, 400), *dims_for_degree4(10**30),
+            *dims_for_degree5(10**30)]
+    lines = []
+    for m in range(1, 6):
+        for dim in dims:
+            try:
+                text = repr(closed_form_quadrature(m, dim))
+            except ValueError as e:
+                text = f"ValueError: {e}"
+            lines.append(f"{m} {dim} {text}\n")
+    assert len(lines) == 2425
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == CLOSED_FORMS_SHA256
 
 
 def test_moment_argument_validation():
