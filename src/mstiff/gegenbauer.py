@@ -11,13 +11,15 @@ quadratic-surd values that appear when dim == 2.
 
 Everything is exact: Fraction scalars, polynomials as tuples of Fraction
 coefficients in ascending order, and a + b*sqrt(c) surds with rational
-a, b.
+a, b.  A surd is a value, not a field element: the four- and five-point
+closed forms read sqrt(R) = k*sqrt(c) once per rule and write each
+section square and weight in its coordinates (a, b, c) directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact_core import (
     _SMALL_PRIME_LIMIT,
@@ -195,15 +197,14 @@ def quadrature_from_node_squares(
 # ---------------------------------------------------------------------------
 # quadratic surds
 
-SurdLike = Union["QuadSurd", Fraction, int]
-
-
 @dataclass(frozen=True)
 class QuadSurd:
     """Exact a + b*sqrt(c): a, b rational, c a squarefree integer >= 0.
 
     Construct through `make`, which extracts square factors from c so each
     value has one representation; rational values always carry c == 0.
+    It defines no arithmetic and no ordering: callers build values from
+    explicit coordinates, and equality compares them.
     """
 
     a: Fraction
@@ -241,7 +242,7 @@ class QuadSurd:
         return QuadSurd(a, b, free)
 
     @staticmethod
-    def of(v: SurdLike) -> "QuadSurd":
+    def of(v: QuadSurd | Fraction | int) -> "QuadSurd":
         if isinstance(v, QuadSurd):
             return v
         return QuadSurd.make(Fraction(v), 0, 0)
@@ -254,78 +255,6 @@ class QuadSurd:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
         return self.a
-
-    def _join(self, other: SurdLike) -> tuple["QuadSurd", "QuadSurd"]:
-        o = QuadSurd.of(other)
-        if self.c and o.c and self.c != o.c:
-            raise ValueError(f"incompatible radicands {self.c} and {o.c}")
-        return self, o
-
-    def __add__(self, other: SurdLike) -> "QuadSurd":
-        s, o = self._join(other)
-        return QuadSurd.make(s.a + o.a, s.b + o.b, s.c or o.c)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadSurd":
-        return QuadSurd(-self.a, -self.b, self.c)
-
-    def __sub__(self, other: SurdLike) -> "QuadSurd":
-        return self + (-QuadSurd.of(other))
-
-    def __rsub__(self, other: SurdLike) -> "QuadSurd":
-        return QuadSurd.of(other) + (-self)
-
-    def __mul__(self, other: SurdLike) -> "QuadSurd":
-        s, o = self._join(other)
-        c = s.c or o.c
-        return QuadSurd.make(
-            s.a * o.a + s.b * o.b * c, s.a * o.b + s.b * o.a, c
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: SurdLike) -> "QuadSurd":
-        o = QuadSurd.of(other)
-        if o.is_rational:
-            if o.a == 0:
-                raise ZeroDivisionError
-            return QuadSurd.make(self.a / o.a, self.b / o.a, self.c)
-        norm = o.a * o.a - o.b * o.b * o.c
-        if norm == 0:
-            raise ZeroDivisionError
-        conj = QuadSurd(o.a, -o.b, o.c)
-        num = self * conj
-        return QuadSurd.make(num.a / norm, num.b / norm, num.c)
-
-    def _sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 c
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.c
-        if lhs == rhs:
-            return 0
-        big_rational = lhs > rhs
-        return (1 if big_rational else -1) * (1 if self.a > 0 else -1)
-
-    def __lt__(self, other: SurdLike) -> bool:
-        return (self - other)._sign() < 0
-
-    def __le__(self, other: SurdLike) -> bool:
-        return (self - other)._sign() <= 0
-
-    def __gt__(self, other: SurdLike) -> bool:
-        return (self - other)._sign() > 0
-
-    def __ge__(self, other: SurdLike) -> bool:
-        return (self - other)._sign() >= 0
 
 
 def surd_sqrt(f: Fraction | int) -> QuadSurd:
@@ -343,6 +272,14 @@ def surd_sqrt(f: Fraction | int) -> QuadSurd:
 # ---------------------------------------------------------------------------
 # closed forms for up to five mass points
 
+def _conjugates(a: int, b: int, den: int, root: QuadSurd) -> list[QuadSurd]:
+    """(a - b*root) / den and (a + b*root) / den, for integers a, b, den and
+    root = sqrt(R) as surd_sqrt gives it."""
+    return [QuadSurd.make(Fraction(a + eps * b * root.a, den),
+                          Fraction(eps * b * root.b, den), root.c)
+            for eps in (-1, 1)]
+
+
 def closed_form_quadrature(
     m: int, dim: int
 ) -> tuple[tuple[tuple[QuadSurd, QuadSurd], ...], Optional[QuadSurd]]:
@@ -355,10 +292,8 @@ def closed_form_quadrature(
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    d = Fraction(dim)
-    one = QuadSurd.of(1)
     if m == 1:
-        return (), one
+        return (), QuadSurd.of(1)
     if m == 2:
         return (((QuadSurd.of(Fraction(1, dim)), QuadSurd.of(Fraction(1, 2))),), None)
     if m == 3:
@@ -366,30 +301,20 @@ def closed_form_quadrature(
         w = QuadSurd.of(Fraction(dim + 2, 6 * dim))
         center = QuadSurd.of(Fraction(2 * (dim - 1), 3 * dim))
         return ((s, w),), center
+    # each square and weight is (a -+ b*sqrt(R)) / den, R read once
     if m == 4:
-        root = surd_sqrt(Fraction(6 * (dim + 1) * (dim + 2)))
-        s_den = Fraction((dim + 2) * (dim + 4))
-        w_den = Fraction(12 * dim * (dim + 1))
-        pairs = []
-        for eps in (-1, 1):
-            s = (QuadSurd.of(3 * (d + 2)) + eps * root) / s_den
-            w = (QuadSurd.of(3 * d * (d + 1)) - eps * (d - 2) * root) / w_den
-            pairs.append((s, w))
-        return tuple(pairs), None
+        root = surd_sqrt(6 * (dim + 1) * (dim + 2))
+        squares = _conjugates(3 * (dim + 2), 1, (dim + 2) * (dim + 4), root)
+        weights = _conjugates(3 * dim * (dim + 1), -(dim - 2),
+                              12 * dim * (dim + 1), root)
+        return tuple(zip(squares, weights)), None
     if m == 5:
-        root = surd_sqrt(Fraction(10 * (dim + 1) * (dim + 4)))
-        s_den = Fraction((dim + 4) * (dim + 6))
-        w_den = Fraction(60 * dim * (dim + 1) * (dim + 2))
-        pairs = []
-        for eps in (-1, 1):
-            s = (QuadSurd.of(5 * (d + 4)) + eps * root) / s_den
-            w = (
-                QuadSurd.of((d + 1) * (d + 4) * (7 * d + 2))
-                - eps * (d - 2) * (2 * d + 7) * root
-            ) / w_den
-            pairs.append((s, w))
-        center = QuadSurd.of(
-            Fraction(8 * (dim + 1) * (dim - 1), 15 * dim * (dim + 2))
-        )
-        return tuple(pairs), center
+        root = surd_sqrt(10 * (dim + 1) * (dim + 4))
+        squares = _conjugates(5 * (dim + 4), 1, (dim + 4) * (dim + 6), root)
+        weights = _conjugates((dim + 1) * (dim + 4) * (7 * dim + 2),
+                              -(dim - 2) * (2 * dim + 7),
+                              60 * dim * (dim + 1) * (dim + 2), root)
+        center = QuadSurd.of(Fraction(8 * (dim + 1) * (dim - 1),
+                                      15 * dim * (dim + 2)))
+        return tuple(zip(squares, weights)), center
     raise ValueError("closed forms cover m <= 5 only")

@@ -109,7 +109,9 @@ def surd_node_str(square: QuadSurd) -> str:
     """Section position for an irrational square (the dimension-2 rows)."""
     if square.is_rational:
         return node_str(square.to_fraction())
-    recip = QuadSurd.of(1) / square
+    # 1/(a + b*sqrt(c)) = (a - b*sqrt(c)) / (a^2 - b^2 c), by the conjugate
+    norm = square.a * square.a - square.b * square.b * square.c
+    recip = QuadSurd(square.a / norm, -square.b / norm, square.c)
     if recip.a.denominator == 1 and recip.b.denominator == 1:
         return f"1/sqrt({surd_str(recip)})"
     return f"sqrt({_surd_over_den(square)})"

@@ -281,52 +281,35 @@ def test_surd_rough_part_past_2_to_the_48(c, refused):
         assert_sqrt_matches_sympy(c)
 
 
-def test_surd_arithmetic():
-    r2 = surd_sqrt(2)
-    assert (1 + r2) * (r2 - 1) == QuadSurd.of(1)
-    assert r2 * r2 == QuadSurd.of(2)
-    assert (3 + 2 * r2) / (1 + r2) == 1 + r2
-    v = QuadSurd.make(F(1, 3), F(-2, 5), 7)
-    assert v + (-v) == QuadSurd.of(0)
-    with pytest.raises(ValueError):
-        surd_sqrt(2) + surd_sqrt(3)
-
-
-def test_surd_comparisons():
-    r2 = surd_sqrt(2)
-    assert 1 + r2 > F(12, 5)
-    assert 1 + r2 < F(5, 2)
-    assert -r2 < 0 < r2
-    assert surd_sqrt(F(1, 2)) < 1
-    vals = [QuadSurd.of(0), surd_sqrt(F(1, 2)), QuadSurd.of(1), r2]
-    assert sorted(vals) == vals
-
-
 # --- closed forms --------------------------------------------------------
 
-def surd_moment_sum(pairs, center, j):
-    total = QuadSurd.of(0)
-    for s, w in pairs:
-        term = w
-        for _ in range(j):
-            term = term * s
-        total = total + 2 * term
-    if center is not None and j == 0:
-        total = total + center
-    return total
+def as_sympy(v):
+    """a + b*sqrt(c) as an exact sympy number (the surd type has no
+    arithmetic of its own)."""
+    a, b = (sympy.Rational(x.numerator, x.denominator) for x in (v.a, v.b))
+    return a + b * sympy.sqrt(v.c)
+
+
+def vanishes(expr):
+    return sympy.expand(expr) == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("dim", [2, 3, 4, 7, 10, 23, 26])
 def test_closed_forms_are_designs(m, dim):
     pairs, center = closed_form_quadrature(m, dim)
+    pairs = [(as_sympy(s), as_sympy(w)) for s, w in pairs]
     for j in range(m):
-        assert surd_moment_sum(pairs, center, j) == QuadSurd.of(moment(j, dim))
+        total = sum((2 * w * s**j for s, w in pairs), sympy.Integer(0))
+        if center is not None and j == 0:
+            total += as_sympy(center)
+        mj = moment(j, dim)
+        assert vanishes(total - sympy.Rational(mj.numerator, mj.denominator))
     for s, w in pairs:
-        assert QuadSurd.of(0) < s <= QuadSurd.of(1)
-        assert w > QuadSurd.of(0)
+        assert s.is_positive and (1 - s).is_nonnegative
+        assert w.is_positive
     if center is not None:
-        assert center > QuadSurd.of(0)
+        assert as_sympy(center).is_positive
 
 
 def test_closed_forms_match_kernel_when_rational():
@@ -352,14 +335,15 @@ def test_closed_forms_dim_two_uniform_weights():
     for m in (2, 3, 4, 5):
         pairs, center = closed_form_quadrature(m, 2)
         for _, w in pairs:
-            assert w == QuadSurd.of(F(1, m))
+            assert vanishes(as_sympy(w) - sympy.Rational(1, m))
         if center is not None:
-            assert center == QuadSurd.of(F(1, m))
+            assert vanishes(as_sympy(center) - sympy.Rational(1, m))
+    r2, r5 = sympy.sqrt(2), sympy.sqrt(5)
     pairs4, _ = closed_form_quadrature(4, 2)
-    assert pairs4[0][0] == (2 - surd_sqrt(2)) / 4
-    assert pairs4[1][0] == (2 + surd_sqrt(2)) / 4
+    assert vanishes(as_sympy(pairs4[0][0]) - (2 - r2) / 4)
+    assert vanishes(as_sympy(pairs4[1][0]) - (2 + r2) / 4)
     pairs5, _ = closed_form_quadrature(5, 2)
-    assert pairs5[1][0] == (5 + surd_sqrt(5)) / 8
+    assert vanishes(as_sympy(pairs5[1][0]) - (5 + r5) / 8)
 
 
 # sha256 of the lines "m d repr" (or "m d ValueError: message"), one per
