@@ -575,32 +575,16 @@ def top_coefficient_screen(m: int, dim: int) -> Optional[NonIntegerCoefficient]:
     if n < 1:
         return None
     two_exp, nums, dens = _closed_top_parts(n, dim, p.odd)
-    checks: list[tuple[int, list[int], list[int]]] = [(n, [], [])]
-    if n >= 2:
-        # one ratio step down from u_n
-        if p.odd:
-            extra = ([n, 2 * n + 1], [dim + 4 * n - 2])
-        else:
-            extra = ([n, 2 * n - 1], [dim + 4 * n - 4])
-        checks.append((n - 1, *extra))
-    if n >= 3:
-        if p.odd:
-            extra2 = (
-                [n, 2 * n + 1, n - 1, 2 * n - 1],
-                [dim + 4 * n - 2, 2, dim + 4 * n - 4],
-            )
-        else:
-            extra2 = (
-                [n, 2 * n - 1, n - 1, 2 * n - 3],
-                [dim + 4 * n - 4, 2, dim + 4 * n - 6],
-            )
-        checks.append((n - 2, *extra2))
-    for index, extra_num, extra_den in checks:
+    # u_{r-1} = u_r * b_r / a_r with b_r = r (2r - 2 + step) and
+    # a_r = (n - r + 1)(shift + 2r - 2): each step down from u_n moves b_r
+    # into the numerators and a_r into the denominators
+    for index in range(n, max(n - 3, 0), -1):
+        if index < n:
+            r = index + 1
+            nums += [r, 2 * r - 2 + p.denominator_step]
+            dens += [n - r + 1, p.shift + 2 * r - 2]
         budget = index if p.odd else 0
-        ok = _product_integrality(
-            two_exp, nums + extra_num, dens + extra_den, budget
-        )
-        if not ok:
+        if not _product_integrality(two_exp, nums, dens, budget):
             return NonIntegerCoefficient(
                 index=index,
                 prime=None,
