@@ -118,6 +118,12 @@ def _require_format(fmt: str, allowed: Sequence[str]) -> None:
 
 def _classify_dim(args: argparse.Namespace) -> Output:
     _require_format(args.format, ("text", "json"))
+    if args.dim > _MAX_SCAN_DIM[args.dim % 2]:
+        raise UsageError(
+            f"--dim {args.dim} is too large: classify --dim scans even "
+            f"dimensions up to {_MAX_SCAN_DIM[0]} and odd ones up to "
+            f"{_MAX_SCAN_DIM[1]}"
+        )
     c = classify_dimension(args.dim)
     if args.format == "json":
         return EXIT_OK, _json(c.to_json(args.max_m))
@@ -673,6 +679,12 @@ def cmd_newton(args: argparse.Namespace) -> Output:
 
 def cmd_bounds(args: argparse.Namespace) -> Output:
     d = args.d
+    if d % 2 == 0 and d > _MAX_BOUNDS_EVEN_DIM:
+        raise UsageError(
+            f"--d {d} is too large: bounds prints even dimensions up to "
+            f"{_MAX_BOUNDS_EVEN_DIM} (their thresholds have about 2.1 d "
+            "digits)"
+        )
     rows = [(odd_deg, n_upper_bound(d, odd_deg)) for odd_deg in (False, True)]
 
     if args.format == "json":
@@ -727,6 +739,16 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 # 1eN is expanded exactly into an N-digit integer; larger N is refused,
 # and so is a --precision of more digits
 _MAX_EXPONENT = 10_000
+
+# Dimensions past these are refused before any work, since the work and
+# memory grow without bound (2 cores, Python 3.11).  An even dimension's
+# scan covers n below n* ~ 0.23 d^2: d = 10^4 takes 2.7 s and 122 MB, and
+# its sieve runs out of memory long before 10^25.  An odd one scans n up
+# to 2d + 9: d = 10^5 + 1 takes 1.6 s, 10^6 + 1 takes 10.7 s and 370 MB.
+_MAX_SCAN_DIM = (10**4, 10**5)  # (even, odd)
+# an even dimension's divisor-product threshold has about 2.1 d digits:
+# d = 10^5 prints in 0.4 s, 10^6 in 56 s (the int-to-str conversion)
+_MAX_BOUNDS_EVEN_DIM = 10**5
 
 
 def _parse_int(text: str) -> int:
@@ -788,7 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("classify", "sweep one axis of the (m, d) grid",
                    all_formats)
     axis = p.add_mutually_exclusive_group(required=True)
-    axis.add_argument("--dim", type=_int(2))
+    axis.add_argument("--dim", type=_int(2),
+                      help="one dimension: even up to 1e4, odd up to 1e5")
     axis.add_argument("--deg", type=_int(1))
     p.add_argument("--max-d", type=_parse_int,
                    help="largest dimension, inclusive (default 1e8)")
@@ -818,7 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=2, type=_int(2, PRIME_PROVEN_BELOW - 1))
 
     p = add_parser("bounds", "nonexistence thresholds per parity")
-    p.add_argument("--d", required=True, type=_int(2))
+    p.add_argument("--d", required=True, type=_int(2),
+                   help="dimension: any odd one, even ones up to 1e5")
 
     p = add_parser("verify", "recompute a nonexistence statement")
     p.add_argument("tag", help="theorem tag or alias")

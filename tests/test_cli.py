@@ -826,6 +826,21 @@ def test_bounds_threshold_past_the_int_str_limit(capsys, fmt):
         assert int(re.search(r"n >= (\d+)", out).group(1)) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "1e25"),
+    ("bounds", "--d", "100002"),
+    ("classify", "--dim", "1e25"),
+    ("classify", "--dim", "10002"),
+    ("classify", "--dim", "1000000000001"),
+])
+def test_huge_dimensions_are_refused(capsys, argv):
+    # their work and memory grow without bound (about d/4 threshold factors,
+    # one scan flag per n): refused before any of it, on one stderr line
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "too large" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
