@@ -116,6 +116,15 @@ def _require_format(fmt: str, allowed: Sequence[str]) -> None:
         )
 
 
+# Dimensions past these are refused before any work, since the work and
+# memory grow without bound (2 cores, Python 3.11).  An even dimension's
+# scan covers n below n* ~ 0.23 d^2: d = 10^4 takes 2.7 s and 122 MB, and
+# its sieve runs out of memory long before 10^25.  An odd one scans n up
+# to 2d + 9, and every n past the full-screen budget (d > 99,996) is left
+# unresolved: d = 10^5 + 1 takes 1.6 s, 10^6 + 1 10.5 s and 501 MB.
+_MAX_SCAN_DIM = (10**4, 10**5)  # (even, odd)
+
+
 def _classify_dim(args: argparse.Namespace) -> Output:
     _require_format(args.format, ("text", "json"))
     if args.dim > _MAX_SCAN_DIM[args.dim % 2]:
@@ -677,6 +686,11 @@ def cmd_newton(args: argparse.Namespace) -> Output:
 # ---------------------------------------------------------------------------
 # bounds
 
+# an even dimension's divisor-product threshold has about 2.1 d digits:
+# d = 10^5 prints in 0.4 s, 10^6 in 56 s (the int-to-str conversion)
+_MAX_BOUNDS_EVEN_DIM = 10**5
+
+
 def cmd_bounds(args: argparse.Namespace) -> Output:
     d = args.d
     if d % 2 == 0 and d > _MAX_BOUNDS_EVEN_DIM:
@@ -739,16 +753,6 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 # 1eN is expanded exactly into an N-digit integer; larger N is refused,
 # and so is a --precision of more digits
 _MAX_EXPONENT = 10_000
-
-# Dimensions past these are refused before any work, since the work and
-# memory grow without bound (2 cores, Python 3.11).  An even dimension's
-# scan covers n below n* ~ 0.23 d^2: d = 10^4 takes 2.7 s and 122 MB, and
-# its sieve runs out of memory long before 10^25.  An odd one scans n up
-# to 2d + 9: d = 10^5 + 1 takes 1.6 s, 10^6 + 1 takes 10.7 s and 370 MB.
-_MAX_SCAN_DIM = (10**4, 10**5)  # (even, odd)
-# an even dimension's divisor-product threshold has about 2.1 d digits:
-# d = 10^5 prints in 0.4 s, 10^6 in 56 s (the int-to-str conversion)
-_MAX_BOUNDS_EVEN_DIM = 10**5
 
 
 def _parse_int(text: str) -> int:

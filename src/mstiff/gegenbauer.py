@@ -242,10 +242,8 @@ class QuadSurd:
         return QuadSurd(a, b, free)
 
     @staticmethod
-    def of(v: QuadSurd | Fraction | int) -> "QuadSurd":
-        if isinstance(v, QuadSurd):
-            return v
-        return QuadSurd.make(Fraction(v), 0, 0)
+    def of(v: Fraction | int) -> "QuadSurd":
+        return QuadSurd.make(v, 0, 0)
 
     @property
     def is_rational(self) -> bool:
